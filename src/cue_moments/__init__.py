@@ -32,13 +32,10 @@ from .moments import (
 )
 from .oracles import (
     MCEstimate,
-    PhaseSample,
     QuadratureError,
     closed_form_moment_integral,
     mc_moment,
     quad_moment_integral,
-    sample_cue_phases,
-    v_values,
 )
 from .partitions import Partition, hook_product, partitions_of, pochhammer, transpose
 from .specfun import (
@@ -63,7 +60,6 @@ __all__ = [
     "MCEstimate",
     "MomentOrder",
     "Partition",
-    "PhaseSample",
     "QuadratureError",
     "alternating_binomial_sum",
     "binomial_residual",
@@ -88,13 +84,11 @@ __all__ = [
     "pochhammer",
     "quad_moment_integral",
     "run_all_checks",
-    "sample_cue_phases",
     "series_coeff",
     "series_coeff_bound",
     "series_coeff_closed",
     "series_coeff_limit",
     "transpose",
     "two_row_partition_sum",
-    "v_values",
     "wronskian_at",
 ]

@@ -281,7 +281,7 @@ def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     try:
         return _RUNNERS[config.command](config)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,6 +93,23 @@ class TestMCCommand:
         assert abs(float(payload["result"]["z_score"])) < 6
         assert payload["result"]["trials"] == 4000
 
+    def test_negative_seed_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mc", "--n", "2", "--two-h", "0", "--k", "1", "--trials", "100", "--seed", "-1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+
+    def test_seed_of_two_to_the_64_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mc", "--n", "2", "--two-h", "0", "--k", "1", "--trials", "100",
+            "--seed", str(2 ** 64),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "seed" in err
+
 
 class TestQuadCommand:
     def test_matches_closed_form(self, capsys):

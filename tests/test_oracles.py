@@ -1,19 +1,19 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
+from _haar import haar_v_values
+from cue_moments import oracles
 from cue_moments.moments import keating_snaith, moment_half_h, moment_integer_h
 from cue_moments.oracles import (
     MCEstimate,
-    PhaseSample,
     QuadratureError,
+    _draw_verblunsky,
+    _szego_at_one,
     closed_form_moment_integral,
     mc_moment,
     quad_moment_integral,
-    sample_cue_phases,
-    v_values,
 )
 
 SEED = 2026
@@ -39,50 +39,82 @@ def assert_within_sigma(n, two_h, k, trials=200_000):
     return est
 
 
-class TestPhaseSampling:
-    def test_ranges_and_sorting(self):
-        rng = np.random.Generator(np.random.Philox(key=[5, 0]))
-        for n in (1, 2, 3, 6):
-            sample = sample_cue_phases(n, rng)
-            assert len(sample.thetas) == n
-            assert all(0.0 <= t < 2 * math.pi for t in sample.thetas)
-            assert list(sample.thetas) == sorted(sample.thetas)
-
-    def test_single_phase_is_uniform(self):
-        rng = np.random.Generator(np.random.Philox(key=[17, 0]))
-        total = 0j
-        draws = 100_000
-        for _ in range(draws):
-            total += cmath.exp(1j * sample_cue_phases(1, rng).thetas[0])
-        assert abs(total) / draws < 0.02
-
-    def test_rejects_bad_size(self):
-        rng = np.random.Generator(np.random.Philox(key=[5, 0]))
-        with pytest.raises(ValueError):
-            sample_cue_phases(0, rng)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseSample(())
+def polynomial_from_verblunsky(alpha):
+    """Coefficients of Phi_n, highest degree first, by Szegő's recursion on polynomials."""
+    phi = np.array([1.0 + 0j])
+    for a in alpha:
+        # Phi*_j is Phi_j with its coefficients conjugated and reversed.
+        rev = np.conj(phi[::-1])
+        phi = np.append(phi, 0) - np.conj(a) * np.insert(rev, 0, 0)
+    return phi
 
 
-class TestVValues:
+def fixed_alphas(n, shift):
+    """Deterministic Verblunsky coefficients: n - 1 inside the disk, the last on the circle."""
+    inner = [(0.15 + 0.7 * ((j + shift) % 5) / 5) * np.exp(1j * (1.0 + 2.3 * j + shift)) for j in range(n - 1)]
+    return np.array(inner + [np.exp(1j * (0.4 + 0.9 * n + shift))])
+
+
+class TestSzegoRecursion:
     def test_examples(self):
-        abs_v, abs_vp = v_values(PhaseSample((math.pi,)))
+        # n = 1: Phi_1(z) = z - conj(alpha_0), one eigenphase at angle(conj(alpha_0)).
+        abs_v, abs_vp = _szego_at_one(np.array([-1.0 + 0j]))  # theta = pi
         assert abs_v == pytest.approx(2.0, rel=1e-15)
         assert abs_vp == pytest.approx(0.0, abs=1e-15)
-
-        abs_v, abs_vp = v_values(PhaseSample((math.pi / 2,)))
+        abs_v, abs_vp = _szego_at_one(np.array([-1j]))  # theta = pi/2
         assert abs_v == pytest.approx(math.sqrt(2), rel=1e-14)
         assert abs_vp == pytest.approx(math.sqrt(2) / 2, rel=1e-14)
 
-        abs_v, abs_vp = v_values(PhaseSample((math.pi, math.pi)))
-        assert abs_v == pytest.approx(4.0, rel=1e-15)
-        assert abs_vp == pytest.approx(0.0, abs=1e-14)
+    def test_matches_eigenphase_formulas(self):
+        for n in range(1, 7):
+            for shift in range(4):
+                alpha = fixed_alphas(n, shift)
+                roots = np.roots(polynomial_from_verblunsky(alpha))
+                assert np.allclose(np.abs(roots), 1.0, atol=1e-12)
+                half = np.angle(roots) / 2.0
+                expected_v = np.prod(2.0 * np.abs(np.sin(half)))
+                expected_vp = expected_v * abs(np.sum(np.cos(half) / np.sin(half))) / 2.0
+                abs_v, abs_vp = _szego_at_one(alpha)
+                assert abs(abs_v - expected_v) <= 1e-10 * expected_v
+                assert abs(abs_vp - expected_vp) <= 1e-10 * expected_vp
 
-    def test_pole_rejected(self):
-        with pytest.raises(ValueError):
-            v_values(PhaseSample((0.0, 1.0)))
+    def test_batch_rows_match_batches_of_one(self):
+        alpha = np.stack([fixed_alphas(5, shift) for shift in range(4)])
+        abs_v, abs_vp = _szego_at_one(alpha)
+        for row in range(4):
+            single_v, single_vp = _szego_at_one(alpha[row : row + 1])
+            assert abs_v[row] == single_v[0] and abs_vp[row] == single_vp[0]
+
+    def test_pole_is_non_finite(self):
+        # alpha_0 = 1 puts the eigenvalue at z = 1 exactly, where cot(theta/2) has its pole.
+        abs_v, abs_vp = _szego_at_one(np.array([1.0 + 0j]))
+        assert abs_v == 0.0
+        assert not np.isfinite(abs_vp)
+
+
+def ks_statistic(x, y):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|."""
+    x, y = np.sort(x), np.sort(y)
+    grid = np.concatenate((x, y))
+    cdf_x = np.searchsorted(x, grid, side="right") / x.size
+    cdf_y = np.searchsorted(y, grid, side="right") / y.size
+    return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+KS_DRAWS = 20_000
+KS_SEED = 1109
+KS_REFERENCE_SEED = 227
+# Asymptotic two-sample critical value at significance 1e-4: sqrt(-ln(alpha/2)/2) sqrt(2/m).
+KS_CRITICAL = math.sqrt(-math.log(1e-4 / 2) / 2) * math.sqrt(2 / KS_DRAWS)
+
+
+class TestDistribution:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_matches_qr_haar_reference(self, n):
+        abs_v, abs_vp = _szego_at_one(_draw_verblunsky(n, KS_SEED, 0, KS_DRAWS))
+        ref_v, ref_vp = haar_v_values(n, KS_DRAWS, KS_REFERENCE_SEED)
+        assert ks_statistic(abs_v, ref_v) <= KS_CRITICAL
+        assert ks_statistic(abs_vp, ref_vp) <= KS_CRITICAL
 
 
 class TestMCMoment:
@@ -104,6 +136,49 @@ class TestMCMoment:
             mc_moment(2, 1, 1, 1, 0)
         with pytest.raises(ValueError):
             mc_moment(2, 5, 1, 100, 0)
+        with pytest.raises(ValueError):
+            mc_moment(0, 1, 1, 100, 0)
+        with pytest.raises(ValueError):
+            mc_moment(2, 1, 1, 100, -1)
+        with pytest.raises(ValueError):
+            mc_moment(2, 1, 1, 100, 2 ** 64)
+
+    def test_seed_range_ends(self):
+        assert mc_moment(2, 1, 1, 100, 0).stderr > 0
+        assert mc_moment(2, 1, 1, 100, 2 ** 64 - 1).stderr > 0
+
+    def test_non_finite_samples_are_left_out_and_counted(self, monkeypatch):
+        # alpha = 1 puts the eigenvalue at z = 1: |V| = 0 and |V'| is non-finite.
+        # Otherwise trial t has the one eigenphase theta = -(1 + t).
+        def draws(n, seed, start, count):
+            t = np.arange(start, start + count)
+            return np.where(t % 3 == 0, 1.0, np.exp(1j * (1.0 + t)))[:, None]
+        monkeypatch.setattr(oracles, "_draw_verblunsky", draws)
+        est = mc_moment(1, 1, 1, 30, 0, batch_size=7)
+        half = np.array([(1.0 + t) / 2 for t in range(30) if t % 3])
+        abs_v = 2 * np.abs(np.sin(half))
+        finite = abs_v * abs_v * np.abs(np.cos(half) / np.sin(half)) / 2
+        assert est.redraws == 10
+        assert est.mean == pytest.approx(np.mean(finite), rel=1e-12)
+        assert est.stderr == pytest.approx(np.std(finite, ddof=1) / math.sqrt(20), rel=1e-10)
+
+    def test_too_few_finite_samples_raise(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_draw_verblunsky", lambda n, seed, start, count: np.ones((count, 1), complex))
+        with pytest.raises(ArithmeticError):
+            mc_moment(1, 1, 1, 10, 0)
+
+    def test_trial_windows_are_independent_of_the_batch(self):
+        whole = _draw_verblunsky(4, 5, 0, 10)
+        assert np.array_equal(_draw_verblunsky(4, 5, 3, 7), whole[3:])
+        assert np.array_equal(_draw_verblunsky(4, 5, 9, 1), whole[9:])
+
+    def test_verblunsky_moduli(self):
+        alpha = _draw_verblunsky(3, 11, 0, 2000)
+        assert np.all(np.abs(alpha[:, :-1]) < 1.0)
+        assert np.allclose(np.abs(alpha[:, -1]), 1.0)
+        # |alpha_0|^2 ~ Beta(1, 2) has mean 1/3; |alpha_1|^2 ~ Beta(1, 1) has mean 1/2.
+        means = np.mean(np.abs(alpha[:, :-1]) ** 2, axis=0)
+        assert abs(means[0] - 1 / 3) < 0.03 and abs(means[1] - 1 / 2) < 0.03
 
     def test_simple_second_moment(self):
         # E|1 - e^(i theta)|^2 = 2 for a uniform phase
@@ -145,7 +220,20 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             quad_moment_integral(1, 1.0, 1, 1e-10, max_evals=40)
 
+    def test_matches_closed_form_all_orders(self):
+        # Includes (k, n, zeta) = (3, 2, 0), where starting from one panel
+        # stopped on an accidental agreement and gave 0.224893.
+        for k in range(1, 5):
+            for n in (1, 2):
+                for zeta in (0.0, 1 / 3, 1.0, 3.5, 10.0):
+                    value = quad_moment_integral(k, zeta, n, 1e-10)
+                    assert abs(value - closed_form_moment_integral(k, zeta, n)) <= 1e-8
+
     def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            quad_moment_integral(1, float("nan"), 1, 1e-8)
+        with pytest.raises(ValueError):
+            quad_moment_integral(1, float("inf"), 2, 1e-8)
         with pytest.raises(ValueError):
             quad_moment_integral(1, 1.0, 3, 1e-8)
         with pytest.raises(ValueError):
