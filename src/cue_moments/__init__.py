@@ -11,7 +11,9 @@ unitaries.
 from .coefficients import (
     alternating_binomial_sum,
     binomial_residual,
+    coeff_vector,
     hook_content_sum,
+    limit_coeff_vector,
     series_coeff,
     series_coeff_bound,
     series_coeff_closed,
@@ -64,6 +66,7 @@ __all__ = [
     "alternating_binomial_sum",
     "binomial_residual",
     "closed_form_moment_integral",
+    "coeff_vector",
     "derivative_coeffs",
     "half_moment_k1_closed",
     "hook_content_sum",
@@ -71,6 +74,7 @@ __all__ = [
     "keating_snaith",
     "laguerre",
     "laguerre_eval",
+    "limit_coeff_vector",
     "limit_moment_half_h",
     "limit_moment_integer_h",
     "limit_moment_zero",

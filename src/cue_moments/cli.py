@@ -6,10 +6,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -55,8 +57,39 @@ def _to_float(value: Fraction | ExactScalar) -> float:
     return value.to_float() if isinstance(value, ExactScalar) else float(value)
 
 
-def _decimal(x: float) -> str:
-    return f"{x:.15g}"
+_PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def _decimal(value: float | Fraction | ExactScalar) -> str:
+    """15 significant digits, as ``f"{x:.15g}"`` prints a float.
+
+    An exact value outside the range of normal floats is rounded from its
+    exact rational, so it neither overflows nor loses digits to underflow.
+    """
+    if not isinstance(value, float):
+        try:
+            x = _to_float(value)
+        except OverflowError:
+            x = math.inf
+        q = value.q if isinstance(value, ExactScalar) else value
+        if q != 0 and not sys.float_info.min <= abs(x) < math.inf:
+            return _decimal_exact(value)
+        value = x
+    return f"{value:.15g}"
+
+
+def _decimal_exact(value: Fraction | ExactScalar) -> str:
+    q, over_pi = (value.q, value.pi_exp == -1) if isinstance(value, ExactScalar) else (value, False)
+    with localcontext() as ctx:
+        ctx.Emax, ctx.Emin, ctx.prec = MAX_EMAX, MIN_EMIN, 40
+        d = Decimal(q.numerator) / q.denominator
+        if over_pi:
+            d /= _PI
+        ctx.prec = 15
+        sign, digits, exp = (+d).normalize().as_tuple()
+    text = "".join(map(str, digits))
+    mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
+    return f"{'-' if sign else ''}{mantissa}e{exp + len(text) - 1:+03d}"
 
 
 def _exact_moment(n: int, two_h: int, k: int) -> Fraction | ExactScalar:
@@ -104,7 +137,7 @@ def _run_moment(config: RunConfig) -> int:
     _require(config, "n", "two_h", "k")
     exact = _exact_moment(config.n, config.two_h, config.k)
     exact_str = format_exact(exact)
-    decimal = _decimal(_to_float(exact))
+    decimal = _decimal(exact)
     inputs = {"n": config.n, "two_h": config.two_h, "k": config.k}
     payload = {
         "command": "moment",
@@ -121,6 +154,8 @@ def _run_moment(config: RunConfig) -> int:
 
 def _run_limit(config: RunConfig) -> int:
     _require(config, "two_h", "k", "tol")
+    if not math.isfinite(config.tol):
+        raise ValueError(f"tol must be a finite number, got {config.tol}")
     inputs = {"two_h": config.two_h, "k": config.k, "tol": config.tol}
     exact_str = None
     if config.two_h % 2 == 0:
@@ -130,7 +165,7 @@ def _run_limit(config: RunConfig) -> int:
             else limit_moment_integer_h(config.two_h // 2, config.k)
         )
         exact_str = format_exact(exact)
-        value, tail_bound, terms = float(exact), 0.0, 0
+        value, tail_bound, terms = exact, 0.0, 0
     else:
         res = limit_moment_half_h(config.two_h, config.k, config.tol)
         value, tail_bound, terms = res.value, res.tail_bound, res.terms_used
@@ -160,7 +195,7 @@ def _run_table(config: RunConfig) -> int:
                 "two_h": two_h,
                 "k": k,
                 "exact": format_exact(exact),
-                "value": _decimal(_to_float(exact)),
+                "value": _decimal(exact),
             }
         except ValueError:
             # Inadmissible cells stay in the table with an explicit marker.
@@ -207,7 +242,7 @@ def _run_mc(config: RunConfig) -> int:
         f"mc n={config.n} two_h={config.two_h} k={config.k}: mean {estimate.mean:.9g} "
         f"stderr {estimate.stderr:.3g} (trials {estimate.trials}, seed {estimate.seed}, "
         f"redraws {estimate.redraws})",
-        f"exact {format_exact(exact)} ≈ {_decimal(exact_float)}, z-score {z:+.3f}",
+        f"exact {format_exact(exact)} ≈ {_decimal(exact)}, z-score {z:+.3f}",
     ]
     fields = ["n", "two_h", "k", "trials", "seed", "mean", "stderr", "redraws", "exact", "z_score"]
     rows = [dict(inputs, mean=repr(estimate.mean), stderr=repr(estimate.stderr),
@@ -283,6 +318,9 @@ def run(config: RunConfig) -> int:
         return _RUNNERS[config.command](config)
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cannot write {config.output_path}: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

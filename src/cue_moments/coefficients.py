@@ -1,10 +1,26 @@
-"""Partition-sum coefficients of the reduced moment polynomial.
+"""Coefficients of the reduced moment polynomial: one exact engine and its oracles.
 
-``series_coeff(p, k, n)`` is the coefficient of zeta^p in the reduced
-moment polynomial at matrix size n, normalized by the zeroth moment, and
-``series_coeff_limit(p, k)`` is its scaled large-n limit.  Both are sums
-over partitions of p into at most k parts and are kept exactly rational
-so the identities in this module can serve as exact self-checks.
+The reduced moment polynomial of order k at matrix size n, divided by the
+zeroth moment, is sum_p c_p zeta^p.  It is the k x k Hankel determinant
+det[L^(2k-1)_{n+k-1-i-j}(-2 zeta)], which equals det[f^(i+j)(zeta)] for the
+single series f = L^(1)_{n+k-1}(-2 zeta) (up to a constant that cancels in
+the ratio); its scaled large-n limit is det[G_{i+j+1}(2 zeta)] with
+G_alpha(x) = sum_m x^m / (m! (m + alpha)!), again det[f^(i+j)] for
+f = G_1(2 zeta) (Conrey, Rubinstein & Snaith, CMP 2006).
+
+:func:`coeff_vector` and :func:`limit_coeff_vector` compute c_0..c_P of
+these determinants at once, fraction-free over integer Hurwitz series
+(entry j is j! times the coefficient of zeta^j) truncated after zeta^P,
+by Sylvester's identity (the condensation behind
+Bareiss elimination, Math. Comp. 1968): with tau_j the j x j Hankel
+determinant of derivatives of f, tau_{j+1} tau_{j-1} = tau_j tau_j'' -
+tau_j'^2 (Desnanot-Jacobi), so k - 1 exact series divisions give tau_k.
+They are the coefficients every moment in :mod:`cue_moments.moments` uses.
+
+``series_coeff(p, k, n)`` and ``series_coeff_limit(p, k)`` are the same
+coefficients as sums over partitions of p into at most k parts.  They stay
+as an independent oracle: the verification suites and the tests compare
+the engine against them, and the identities in this module check them.
 """
 
 from __future__ import annotations
@@ -12,13 +28,89 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import add, mul
 
 from .partitions import hook_product, partitions_of, pochhammer
 
 
+def _condense(cur: list[int], prev: list[int]) -> list[int]:
+    """(cur cur'' - cur'^2) / prev, two coefficients shorter than ``cur``.
+
+    All three are Hurwitz series: entry j is j! times the coefficient of
+    zeta^j, so a derivative is a shift, a product is the binomial
+    convolution (a b)_j = sum_i C(j, i) a_i b_{j-i}, and the integer series
+    form a ring.  The quotient is known to lie in it, so each coefficient
+    follows from the ones before it by one integer division by prev[0],
+    which must leave no remainder.
+    """
+    quo: list[int] = []
+    row = [1]  # C(j, i) for i = 0..j
+    for j in range(len(cur) - 2):
+        if j:
+            row = [1, *map(add, row, row[1:]), 1]
+        # cur_x cur_y over x + y = j + 2, each unordered pair {x, y} once; its
+        # weight is the second difference of row j
+        s, h = j + 2, (j + 3) // 2
+        pad = [0, 0, *row, 0, 0]
+        w = [pad[x + 2] - 2 * pad[x + 1] + pad[x] for x in range(h + 1)]
+        num = sum(map(mul, cur[:h], map(mul, w, cur[s : s - h : -1])))
+        if s % 2 == 0:
+            num += w[h] // 2 * cur[h] ** 2
+        known = sum(map(mul, map(mul, row[1:], prev[1 : j + 1]), reversed(quo)))
+        q, r = divmod(num - known, prev[0])
+        if r:
+            raise ArithmeticError("inexact quotient in the Hankel condensation")
+        quo.append(q)
+    return quo
+
+
+def _hankel_ratio(f: list[int], k: int, size: int) -> tuple[Fraction, ...]:
+    """c_0..c_{size-1} of det[f^(i+j)]_{i,j<k} divided by its value at zeta = 0.
+
+    ``f`` is an integer Hurwitz series with at least size + 2(k - 1) terms;
+    each condensation step uses up two of them.  The divisors are the
+    leading j x j determinants, whose values at 0 are zeroth moments of
+    order j < k and so never vanish.
+    """
+    prev, cur = [1] + [0] * len(f), f
+    for _ in range(k - 1):
+        prev, cur = cur, _condense(cur, prev)
+    return tuple(Fraction(c, factorial(p) * cur[0]) for p, c in enumerate(cur[:size]))
+
+
+@lru_cache(maxsize=None)
+def coeff_vector(k: int, n: int, P: int) -> tuple[Fraction, ...]:
+    """The coefficients c_0..c_min(P, kn) of the reduced moment polynomial at size n.
+
+    c_p equals ``series_coeff(p, k, n)``; coefficients beyond kn are zero
+    and are not returned.  f = L^(1)_{n+k-1}(-2 zeta) has the integer
+    Hurwitz coefficients C(n+k, j+1) 2^j.
+    """
+    if k < 1 or n < 1 or P < 0:
+        raise ValueError(f"need k >= 1, n >= 1, P >= 0, got {(k, n, P)}")
+    P = min(P, k * n)
+    f = [comb(n + k, j + 1) << j for j in range(P + 2 * k - 1)]
+    return _hankel_ratio(f, k, P + 1)
+
+
+@lru_cache(maxsize=None)
+def limit_coeff_vector(k: int, P: int) -> tuple[Fraction, ...]:
+    """The limiting coefficients c_0..c_P, each equal to ``series_coeff_limit(p, k)``.
+
+    f = G_1(2 zeta) has the Hurwitz coefficients 2^j / (j + 1)!, scaled
+    here to integers by (s + 1)!, s being the last one used.
+    """
+    if k < 1 or P < 0:
+        raise ValueError(f"need k >= 1 and P >= 0, got {(k, P)}")
+    s = P + 2 * (k - 1)
+    scale = factorial(s + 1)
+    f = [scale // factorial(j + 1) << j for j in range(s + 1)]
+    return _hankel_ratio(f, k, P + 1)
+
+
 @lru_cache(maxsize=None)
 def series_coeff(p: int, k: int, n: int) -> Fraction:
-    """Finite-size series coefficient: (-2)^p sum of [k][-n] / ([2k] h^2).
+    """Finite-size coefficient as a partition sum: (-2)^p sum of [k][-n] / ([2k] h^2).
 
     The sum runs over partitions of p into at most k parts.  Returns 0 when
     p > k*n: every admissible partition would need a part larger than n,
@@ -38,7 +130,7 @@ def series_coeff(p: int, k: int, n: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def series_coeff_limit(p: int, k: int) -> Fraction:
-    """Limiting series coefficient: 2^p sum of [k] / ([2k] h^2) over the same partitions."""
+    """Limiting coefficient as a partition sum: 2^p sum of [k] / ([2k] h^2) over the same partitions."""
     if p < 0 or k < 1:
         raise ValueError(f"need p >= 0 and k >= 1, got {(p, k)}")
     total = Fraction(0)

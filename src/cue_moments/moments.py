@@ -6,6 +6,11 @@ polynomial at angle 0.  Even two_h gives an exact rational; odd two_h
 gives an exact rational multiple of 1/pi, carried symbolically by
 :class:`ExactScalar`.  The large-n limits (after dividing by n^(k^2 + two_h))
 are exact rationals for even two_h and controlled truncations for odd two_h.
+
+Each moment is the zeroth moment times a binomial recombination of the
+coefficients c_p of the reduced moment polynomial, taken from the
+determinant engine :func:`~cue_moments.coefficients.coeff_vector` (finite
+n) or :func:`~cue_moments.coefficients.limit_coeff_vector` (the limit).
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
-from .coefficients import series_coeff, series_coeff_closed, series_coeff_limit
+from .coefficients import coeff_vector, limit_coeff_vector
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,19 @@ class LimitResult:
 
 
 def keating_snaith(n: int, k: int) -> Fraction:
-    """Zeroth moment at size n: the product of (j-1)! (j+2k-1)! / ((j+k-1)!)^2."""
+    """Zeroth moment at size n: the product over j < k of j! (j+n+k)! / ((j+k)! (j+n)!).
+
+    Equal to the product over j = 1..n of (j-1)! (j+2k-1)! / ((j+k-1)!)^2,
+    with k factors in place of n; (j+n+k)! / (j+n)! is taken as a product
+    of k integers.
+    """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got {(n, k)}")
     numer = 1
     denom = 1
-    for j in range(1, n + 1):
-        numer *= factorial(j - 1) * factorial(j + 2 * k - 1)
-        denom *= factorial(j + k - 1) ** 2
+    for j in range(k):
+        numer *= factorial(j) * perm(j + n + k, k)
+        denom *= factorial(j + k)
     return Fraction(numer, denom)
 
 
@@ -104,12 +114,8 @@ def moment_integer_h(n: int, h: int, k: int) -> Fraction:
         raise ValueError(f"inadmissible order: need k >= h, got h={h}, k={k}")
     two_h = 2 * h
     total = Fraction(0)
-    for p in range(two_h + 1):
-        total += (
-            Fraction(factorial(two_h), factorial(two_h - p))
-            * (-n) ** (two_h - p)
-            * series_coeff(p, k, n)
-        )
+    for p, coeff in enumerate(coeff_vector(k, n, two_h)):
+        total += Fraction(factorial(two_h), factorial(two_h - p)) * (-n) ** (two_h - p) * coeff
     return Fraction((-1) ** h, 2 ** two_h) * keating_snaith(n, k) * total
 
 
@@ -123,9 +129,9 @@ def moment_half_h(n: int, two_h: int, k: int) -> ExactScalar:
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be odd, got {two_h}; use moment_integer_h")
     order = MomentOrder(two_h, k)
+    coeffs = coeff_vector(k, n, k * n)
     first = Fraction(0)
-    for p in range(1, two_h + 1):
-        coeff = series_coeff(p, k, n)
+    for p, coeff in enumerate(coeffs[1 : two_h + 1], start=1):
         for ell in range(1, p + 1):
             first += (
                 comb(two_h, p - ell)
@@ -135,11 +141,8 @@ def moment_half_h(n: int, two_h: int, k: int) -> ExactScalar:
                 * coeff
             )
     second = Fraction(0)
-    for p in range(two_h + 1, k * n + 1):
-        second += (
-            Fraction(factorial(two_h) * factorial(p - two_h - 1), n ** (p - two_h))
-            * series_coeff(p, k, n)
-        )
+    for p, coeff in enumerate(coeffs[two_h + 1 :], start=two_h + 1):
+        second += Fraction(factorial(two_h) * factorial(p - two_h - 1), n ** (p - two_h)) * coeff
     m = (two_h + 1) // 2  # h + 1/2
     prefactor = Fraction(2 * (-1) ** m, 2 ** two_h) * keating_snaith(n, order.k)
     return ExactScalar(prefactor * (first + second), pi_exp=-1)
@@ -179,12 +182,8 @@ def limit_moment_integer_h(h: int, k: int) -> Fraction:
         raise ValueError(f"inadmissible order: need k >= h, got h={h}, k={k}")
     two_h = 2 * h
     total = Fraction(0)
-    for p in range(two_h + 1):
-        total += (
-            Fraction(factorial(two_h), factorial(two_h - p))
-            * (-1) ** (two_h - p)
-            * series_coeff_limit(p, k)
-        )
+    for p, coeff in enumerate(limit_coeff_vector(k, two_h)):
+        total += Fraction(factorial(two_h), factorial(two_h - p)) * (-1) ** (two_h - p) * coeff
     return Fraction((-1) ** h, 2 ** two_h) * limit_moment_zero(k) * total
 
 
@@ -200,20 +199,20 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     have started at least halving; a geometric majorant then bounds the
     dropped tail by 2 t_p.  All retained terms are summed in exact rational
     arithmetic, so the reported value carries no roundoff beyond the final
-    conversion to float.
+    conversion to float.  The coefficients come from
+    :func:`~cue_moments.coefficients.limit_coeff_vector`; whenever the sum
+    runs past the end of that vector, it is recomputed 1.5 times as long.
     """
     if two_h % 2 == 0 or two_h < 1:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
     order = MomentOrder(two_h, k)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
 
-    # Closed forms exist for k in {1, 2}; otherwise enumerate partitions.
-    coeff = series_coeff_closed if k in (1, 2) else series_coeff_limit
-
+    settle_floor = two_h + 2 * order.k + 4
+    coeffs = limit_coeff_vector(k, settle_floor)
     first = Fraction(0)
-    for p in range(1, two_h + 1):
-        c = coeff(p, k)
+    for p, c in enumerate(coeffs[1 : two_h + 1], start=1):
         for ell in range(1, p + 1):
             first += (
                 comb(two_h, p - ell)
@@ -223,13 +222,14 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
             )
 
     total = first
-    settle_floor = two_h + 2 * order.k + 4
     half_tol = Fraction(tol) / 2
     previous_term: Fraction | None = None
     terms_used = 0
     p = two_h + 1
     while True:
-        term = factorial(two_h) * factorial(p - two_h - 1) * coeff(p, k)
+        if p >= len(coeffs):
+            coeffs = limit_coeff_vector(k, p + p // 2)
+        term = factorial(two_h) * factorial(p - two_h - 1) * coeffs[p]
         total += term
         terms_used += 1
         if (

@@ -8,6 +8,13 @@ ways: as a Wronskian of Laguerre polynomials, as a Hankel determinant
 without derivatives, and as a terminating series in zeta weighted by the
 partition-sum coefficients.  All three must agree exactly, which is the
 backbone of this package's verification suite.
+
+These routes evaluate the polynomial at one point at a time and serve as
+checks.  The moments themselves take the whole coefficient vector from the
+determinant engine in :mod:`cue_moments.coefficients`; the series route
+here keeps the partition sums (``series_coeff``), so the three-route
+identity compares the determinants with an independent route rather than
+with the engine.
 """
 
 from __future__ import annotations
@@ -57,9 +64,12 @@ def laguerre(n: int, alpha: int) -> LaguerrePolynomial:
 
 def laguerre_eval(poly: LaguerrePolynomial, t: Rational) -> Fraction:
     """Exact polynomial evaluation by Horner's rule."""
-    t = Fraction(t)
+    return _horner(poly.coeffs, Fraction(t))
+
+
+def _horner(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
     acc = Fraction(0)
-    for c in reversed(poly.coeffs):
+    for c in reversed(coeffs):
         acc = acc * t + c
     return acc
 
@@ -69,13 +79,6 @@ def derivative_coeffs(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(coeffs) <= 1:
         return (Fraction(0),)
     return tuple((j + 1) * c for j, c in enumerate(coeffs[1:]))
-
-
-def _eval_coeffs(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def _det(matrix: list[list[Fraction]]) -> Fraction:
@@ -111,7 +114,7 @@ def wronskian_at(polys: Sequence[LaguerrePolynomial], t: Rational) -> Fraction:
     coeff_rows: list[Sequence[Fraction]] = [p.coeffs for p in polys]
     matrix = []
     for _ in range(len(polys)):
-        matrix.append([_eval_coeffs(c, t) for c in coeff_rows])
+        matrix.append([_horner(c, t) for c in coeff_rows])
         coeff_rows = [derivative_coeffs(c) for c in coeff_rows]
     return _det(matrix)
 

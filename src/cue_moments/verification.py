@@ -15,7 +15,9 @@ from typing import Callable, Iterable
 from .coefficients import (
     alternating_binomial_sum,
     binomial_residual,
+    coeff_vector,
     hook_content_sum,
+    limit_coeff_vector,
     series_coeff,
     series_coeff_bound,
     series_coeff_closed,
@@ -142,6 +144,16 @@ def check_three_route_identity(
     return _run("three-route-identity", cases())
 
 
+def check_coefficient_engine(max_k: int = 4, max_n: int = 8, max_p: int = 20) -> CheckResult:
+    """The determinant engine against the partition sums, one check per coefficient vector."""
+    def cases():
+        for k in range(1, max_k + 1):
+            for n in range(1, max_n + 1):
+                yield coeff_vector(k, n, k * n) == tuple(series_coeff(p, k, n) for p in range(k * n + 1))
+            yield limit_coeff_vector(k, max_p) == tuple(series_coeff_limit(p, k) for p in range(max_p + 1))
+    return _run("coefficient-engine", cases())
+
+
 def check_half_moment_closed_form(max_n: int = 50) -> CheckResult:
     return _run(
         "half-moment-closed-form",
@@ -158,6 +170,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_coeff_bounds,
     check_closed_forms,
     check_three_route_identity,
+    check_coefficient_engine,
     check_half_moment_closed_form,
 )
 

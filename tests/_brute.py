@@ -87,3 +87,13 @@ def lagrange_interpolate(points: list[tuple[Fraction, Fraction]], x: Fraction) -
                 term *= Fraction(x - xj, xi - xj)
         total += term
     return total
+
+
+def keating_snaith_running_product(n: int, k: int) -> Fraction:
+    """Zeroth moment as the product over j = 1..n of (j-1)! (j+2k-1)! / ((j+k-1)!)^2."""
+    numer = 1
+    denom = 1
+    for j in range(1, n + 1):
+        numer *= factorial(j - 1) * factorial(j + 2 * k - 1)
+        denom *= factorial(j + k - 1) ** 2
+    return Fraction(numer, denom)

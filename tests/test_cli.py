@@ -1,11 +1,12 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from cue_moments.cli import RunConfig, build_parser, config_from_args, format_exact, main, run
+from cue_moments.cli import RunConfig, _decimal, build_parser, config_from_args, format_exact, main, run
 from cue_moments.moments import ExactScalar
 
 
@@ -20,6 +21,18 @@ class TestFormatting:
         assert format_exact(Fraction(3, 10)) == "3/10"
         assert format_exact(Fraction(5)) == "5/1"
         assert format_exact(ExactScalar(Fraction(2), pi_exp=-1)) == "2/pi"
+
+    def test_decimal_beyond_float_range(self):
+        assert _decimal(Fraction(15, 10) * 10 ** 400) == "1.5e+400"
+        assert _decimal(Fraction(-10 ** 400)) == "-1e+400"
+        assert _decimal(Fraction(2, 3) / 10 ** 330) == "6.66666666666667e-331"
+        # 10^400 / pi = 3.183098861837906715...e399
+        assert _decimal(ExactScalar(Fraction(10 ** 400), pi_exp=-1)) == "3.18309886183791e+399"
+
+    def test_decimal_in_float_range_is_the_float_string(self):
+        for q in (Fraction(1, 3), Fraction(10 ** 300, 7), Fraction(3, 10 ** 300), Fraction(0)):
+            assert _decimal(q) == f"{float(q):.15g}"
+            assert _decimal(ExactScalar(q, pi_exp=-1)) == f"{float(q) / math.pi:.15g}"
 
 
 class TestMomentCommand:
@@ -39,6 +52,17 @@ class TestMomentCommand:
         assert json.loads(json.dumps(payload))["exact"] == "10/1"
         assert Fraction(payload["exact"]) == 10
 
+    def test_decimal_of_a_value_beyond_float_range(self, capsys):
+        code, out, err = run_cli(capsys, "moment", "--n", "600", "--two-h", "0", "--k", "14", "--format", "json")
+        assert code == 0, err
+        payload = json.loads(out)
+        exact = Fraction(payload["exact"])
+        # 15 significant digits, rounded half up from the exact rational
+        exponent = len(str(exact.numerator // exact.denominator)) - 1
+        digits = (exact * Fraction(10) ** (15 - exponent) + 5) // 10
+        mantissa = str(digits).rstrip("0")
+        assert payload["result"]["decimal"] == f"{mantissa[0]}.{mantissa[1:]}e+{exponent}"
+
     def test_inadmissible_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "moment", "--n", "2", "--two-h", "5", "--k", "1")
         assert code == 1
@@ -52,6 +76,14 @@ class TestLimitCommand:
         payload = json.loads(out)
         assert float(payload["result"]["value"]) == pytest.approx(0.190115043734329, abs=1e-10)
         assert float(payload["result"]["tail_bound"]) <= 1e-12
+
+    def test_non_finite_tol_is_an_error(self, capsys):
+        for two_h in ("1", "2"):
+            for tol in ("inf", "nan"):
+                code, out, err = run_cli(capsys, "limit", "--two-h", two_h, "--k", "1", "--tol", tol)
+                assert code == 1
+                assert out == ""
+                assert err.startswith("error:") and "tol" in err and "finite" in err
 
     def test_even_limit_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--two-h", "2", "--k", "1", "--tol", "1e-10")
@@ -163,3 +195,12 @@ class TestFileOutput:
         on_disk = json.loads(target.read_text())
         assert on_disk["exact"] == "5/pi"
         assert not list(tmp_path.glob(".cue-moments-*"))
+
+    def test_missing_directory_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code = main(["moment", "--n", "2", "--two-h", "1", "--k", "1", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and str(target) in captured.err
+        assert not target.parent.exists()

@@ -6,7 +6,9 @@ import pytest
 from cue_moments.coefficients import (
     alternating_binomial_sum,
     binomial_residual,
+    coeff_vector,
     hook_content_sum,
+    limit_coeff_vector,
     series_coeff,
     series_coeff_bound,
     series_coeff_closed,
@@ -54,6 +56,43 @@ class TestSeriesCoeff:
                         denom = pochhammer(-2 * k, mu) * hook_product(mu) ** 2
                         total += Fraction(numer, denom)
                     assert direct == 2 ** p * total
+
+
+class TestCoeffVector:
+    GRID = [(k, n) for k in range(1, 5) for n in range(1, 9)] + [
+        (k, n) for k in (5, 6) for n in range(1, 6)
+    ]
+
+    def test_equals_partition_sums_for_every_p(self):
+        for k, n in self.GRID:
+            expected = tuple(series_coeff(p, k, n) for p in range(k * n + 1))
+            assert coeff_vector(k, n, k * n) == expected, (k, n)
+
+    def test_truncation_is_a_prefix(self):
+        for k, n in self.GRID:
+            full = coeff_vector(k, n, k * n)
+            for P in range(k * n + 3):
+                assert coeff_vector(k, n, P) == full[: P + 1], (k, n, P)
+
+    def test_large_size_matches_partition_sums_on_low_order(self):
+        # P far below k*n: the series f is cut off well below its degree
+        for k, n in ((2, 50), (3, 400), (8, 400)):
+            expected = tuple(series_coeff(p, k, n) for p in range(5))
+            assert coeff_vector(k, n, 4) == expected
+
+    def test_limit_equals_partition_sums(self):
+        for k in range(1, 7):
+            expected = tuple(series_coeff_limit(p, k) for p in range(31))
+            assert limit_coeff_vector(k, 30) == expected, k
+            assert limit_coeff_vector(k, 12) == expected[:13]
+
+    def test_rejects_bad_arguments(self):
+        for args in ((0, 1, 1), (1, 0, 1), (1, 1, -1)):
+            with pytest.raises(ValueError):
+                coeff_vector(*args)
+        for args in ((0, 1), (1, -1)):
+            with pytest.raises(ValueError):
+                limit_coeff_vector(*args)
 
 
 class TestSeriesCoeffLimit:

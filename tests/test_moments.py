@@ -17,6 +17,8 @@ from cue_moments.moments import (
 )
 from cue_moments.specfun import moment_gen_series
 
+from _brute import keating_snaith_running_product
+
 
 class TestMomentOrder:
     def test_admissible(self):
@@ -64,6 +66,11 @@ class TestKeatingSnaith:
         for k in range(1, 7):
             assert keating_snaith(1, k) == comb(2 * k, k)
         assert keating_snaith(1, 2) == 6
+
+    def test_matches_running_product_over_j_up_to_n(self):
+        for k in range(1, 9):
+            for n in range(1, 41):
+                assert keating_snaith(n, k) == keating_snaith_running_product(n, k)
 
     def test_agrees_with_series_route(self):
         for k in range(1, 5):
