@@ -100,6 +100,23 @@ def keating_snaith(n: int, k: int) -> Fraction:
     return Fraction(numer, denom)
 
 
+def _integer_h_sum(coeffs, two_h: int, n: int) -> Fraction:
+    """Sum over p of two_h!/(two_h - p)! (-n)^(two_h - p) c_p; n = 1 gives the limit."""
+    terms = (Fraction(factorial(two_h), factorial(two_h - p)) * (-n) ** (two_h - p) * c
+             for p, c in enumerate(coeffs))
+    return sum(terms, Fraction(0))
+
+
+def _half_h_first_sum(coeffs, two_h: int, n: int) -> Fraction:
+    """Sum over 1 <= ell <= p <= two_h of C(two_h, p - ell) (-1)^ell/ell (-n)^(two_h - p) p! c_p.
+
+    n = 1 gives the limit.  Coefficients past the end of ``coeffs`` are zero.
+    """
+    terms = (comb(two_h, p - ell) * Fraction((-1) ** ell, ell) * (-n) ** (two_h - p) * factorial(p) * c
+             for p, c in enumerate(coeffs[1 : two_h + 1], start=1) for ell in range(1, p + 1))
+    return sum(terms, Fraction(0))
+
+
 def moment_integer_h(n: int, h: int, k: int) -> Fraction:
     """Joint moment for integer h >= 1, exact rational.
 
@@ -113,9 +130,7 @@ def moment_integer_h(n: int, h: int, k: int) -> Fraction:
     if k < h:
         raise ValueError(f"inadmissible order: need k >= h, got h={h}, k={k}")
     two_h = 2 * h
-    total = Fraction(0)
-    for p, coeff in enumerate(coeff_vector(k, n, two_h)):
-        total += Fraction(factorial(two_h), factorial(two_h - p)) * (-n) ** (two_h - p) * coeff
+    total = _integer_h_sum(coeff_vector(k, n, two_h), two_h, n)
     return Fraction((-1) ** h, 2 ** two_h) * keating_snaith(n, k) * total
 
 
@@ -130,16 +145,7 @@ def moment_half_h(n: int, two_h: int, k: int) -> ExactScalar:
         raise ValueError(f"two_h must be odd, got {two_h}; use moment_integer_h")
     order = MomentOrder(two_h, k)
     coeffs = coeff_vector(k, n, k * n)
-    first = Fraction(0)
-    for p, coeff in enumerate(coeffs[1 : two_h + 1], start=1):
-        for ell in range(1, p + 1):
-            first += (
-                comb(two_h, p - ell)
-                * Fraction((-1) ** ell, ell)
-                * (-n) ** (two_h - p)
-                * factorial(p)
-                * coeff
-            )
+    first = _half_h_first_sum(coeffs, two_h, n)
     second = Fraction(0)
     for p, coeff in enumerate(coeffs[two_h + 1 :], start=two_h + 1):
         second += Fraction(factorial(two_h) * factorial(p - two_h - 1), n ** (p - two_h)) * coeff
@@ -181,9 +187,7 @@ def limit_moment_integer_h(h: int, k: int) -> Fraction:
     if k < h:
         raise ValueError(f"inadmissible order: need k >= h, got h={h}, k={k}")
     two_h = 2 * h
-    total = Fraction(0)
-    for p, coeff in enumerate(limit_coeff_vector(k, two_h)):
-        total += Fraction(factorial(two_h), factorial(two_h - p)) * (-1) ** (two_h - p) * coeff
+    total = _integer_h_sum(limit_coeff_vector(k, two_h), two_h, 1)
     return Fraction((-1) ** h, 2 ** two_h) * limit_moment_zero(k) * total
 
 
@@ -211,17 +215,7 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
 
     settle_floor = two_h + 2 * order.k + 4
     coeffs = limit_coeff_vector(k, settle_floor)
-    first = Fraction(0)
-    for p, c in enumerate(coeffs[1 : two_h + 1], start=1):
-        for ell in range(1, p + 1):
-            first += (
-                comb(two_h, p - ell)
-                * Fraction((-1) ** (ell + two_h - p), ell)
-                * factorial(p)
-                * c
-            )
-
-    total = first
+    total = _half_h_first_sum(coeffs, two_h, 1)
     half_tol = Fraction(tol) / 2
     previous_term: Fraction | None = None
     terms_used = 0

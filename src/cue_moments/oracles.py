@@ -34,6 +34,7 @@ from .specfun import moment_gen_series
 _STATS_BLOCK = 4096
 # Simpson panels the quadrature starts from, before adaptive subdivision.
 _QUAD_PANELS = 4
+_QUAD_MAX_DEPTH = 48
 
 
 class QuadratureError(RuntimeError):
@@ -197,9 +198,14 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, budget, depth) -> float:
     left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
-    if depth >= 48 or abs(delta) <= 15.0 * tol:
+    if abs(delta) <= 15.0 * tol:
         # Richardson extrapolation of the two Simpson estimates.
         return left + right + delta / 15.0
+    if depth >= _QUAD_MAX_DEPTH:
+        raise QuadratureError(
+            f"subdivision depth cap {_QUAD_MAX_DEPTH} hit on [{a!r}, {b!r}] before reaching "
+            "tolerance (the evaluation budget was not exhausted)"
+        )
     return _simpson_rec(f, a, mid, fa, flm, fm, left, tol / 2.0, budget, depth + 1) + _simpson_rec(
         f, mid, b, fm, frm, fb, right, tol / 2.0, budget, depth + 1
     )
@@ -228,7 +234,8 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float, max_evals: int
     vanishes by symmetry).  For n = 2 the squared Vandermonde
     (x2 - x1)^2 = x1^2 - 2 x1 x2 + x2^2 splits the double integral into
     products of one-dimensional integrals of x^m cos/sin(zeta x) against the
-    weight.  Raises QuadratureError when the subdivision budget runs out.
+    weight.  Raises QuadratureError when the subdivision budget runs out
+    or a panel still has not converged at the subdivision depth cap.
     """
     if n not in (1, 2):
         raise ValueError(f"direct quadrature supports n in {{1, 2}}, got {n}")

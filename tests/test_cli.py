@@ -2,12 +2,13 @@ import csv
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cue_moments.cli import RunConfig, _decimal, build_parser, config_from_args, format_exact, main, run
-from cue_moments.moments import ExactScalar
+from cue_moments.cli import _decimal, format_exact, main
+from cue_moments.moments import ExactScalar, keating_snaith
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +63,31 @@ class TestMomentCommand:
         digits = (exact * Fraction(10) ** (15 - exponent) + 5) // 10
         mantissa = str(digits).rstrip("0")
         assert payload["result"]["decimal"] == f"{mantissa[0]}.{mantissa[1:]}e+{exponent}"
+
+    def test_exact_string_beyond_the_int_to_str_digit_limit(self, capsys):
+        q = keating_snaith(3000, 50)
+        digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+        if digit_limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            want = f"{q.numerator}/{q.denominator}"
+        finally:
+            if digit_limit:
+                sys.set_int_max_str_digits(digit_limit)
+        assert len(want) > 4300
+        argv = ["moment", "--n", "3000", "--two-h", "0", "--k", "50"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"moment n=3000 two_h=0 k=50: {want} ≈ ")
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["exact"] == want
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[3] == want
+        # the limit is lifted only while formatting
+        if digit_limit:
+            assert sys.get_int_max_str_digits() == digit_limit
 
     def test_inadmissible_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "moment", "--n", "2", "--two-h", "5", "--k", "1")
@@ -171,18 +197,6 @@ class TestConfigHandling:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_run_reports_missing_fields(self, capsys):
-        code = run(RunConfig(command="moment", n=1, two_h=None, k=1))
-        assert code == 1
-        assert "requires" in capsys.readouterr().err
-
-    def test_parser_to_config(self):
-        args = build_parser().parse_args(
-            ["mc", "--n", "3", "--two-h", "2", "--k", "1", "--trials", "10", "--seed", "42"]
-        )
-        config = config_from_args(args)
-        assert config.command == "mc"
-        assert (config.n, config.two_h, config.k, config.trials, config.seed) == (3, 2, 1, 10, 42)
 
 
 class TestFileOutput:

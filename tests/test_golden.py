@@ -1,5 +1,7 @@
 import csv
+import json
 
+from make_golden_cli import GOLDEN_CLI, golden_records
 from make_golden_table import GOLDEN_TABLE, golden_rows
 
 
@@ -8,5 +10,14 @@ def test_exact_strings_match_golden_table():
         pinned = list(csv.DictReader(handle))
     computed = list(golden_rows())
     assert len(computed) == len(pinned) == 309
+    for want, got in zip(pinned, computed):
+        assert got == want
+
+
+def test_cli_output_matches_golden_cli():
+    with open(GOLDEN_CLI, encoding="utf-8") as handle:
+        pinned = json.load(handle)
+    computed = list(golden_records())
+    assert len(computed) == len(pinned) == 66
     for want, got in zip(pinned, computed):
         assert got == want

@@ -220,6 +220,13 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             quad_moment_integral(1, 1.0, 1, 1e-10, max_evals=40)
 
+    def test_depth_cap_is_an_error(self):
+        # A jump never passes the Richardson test, however fine the panel.
+        def step(x):
+            return 0.0 if x < 0.3 else 1.0
+        with pytest.raises(QuadratureError, match="depth cap"):
+            oracles._adaptive_simpson(step, 0.0, 1.0, 1e-12, [10 ** 6])
+
     def test_matches_closed_form_all_orders(self):
         # Includes (k, n, zeta) = (3, 2, 0), where starting from one panel
         # stopped on an accidental agreement and gave 0.224893.
