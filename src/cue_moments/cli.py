@@ -139,13 +139,15 @@ def _run_limit(args: argparse.Namespace) -> Output:
 def _run_table(args: argparse.Namespace) -> Output:
     if not (args.n and args.two_h and args.k):
         raise ValueError("command 'table' requires --n, --two-h and --k value lists")
+    if min(args.n) < 1 or min(args.two_h) < 0 or min(args.k) < 1:
+        raise ValueError("command 'table' needs every n >= 1, two_h >= 0 and k >= 1")
     rows = []
     for n, two_h, k in product(args.n, args.two_h, args.k):
-        try:
-            rows.append(_moment_row(n, two_h, k))
-        except ValueError:
+        if 2 * k + 1 <= two_h:
             # Inadmissible cells stay in the table with an explicit marker.
             rows.append({"n": n, "two_h": two_h, "k": k, "exact": "inadmissible", "value": ""})
+        else:
+            rows.append(_moment_row(n, two_h, k))
     inputs = {"n": list(args.n), "two_h": list(args.two_h), "k": list(args.k)}
     return [_moment_line(r) for r in rows], {"inputs": inputs, "result": {"rows": rows}}, rows
 

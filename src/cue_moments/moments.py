@@ -7,10 +7,13 @@ gives an exact rational multiple of 1/pi, carried symbolically by
 :class:`ExactScalar`.  The large-n limits (after dividing by n^(k^2 + two_h))
 are exact rationals for even two_h and controlled truncations for odd two_h.
 
-Each moment is the zeroth moment times a binomial recombination of the
-coefficients c_p of the reduced moment polynomial, taken from the
-determinant engine :func:`~cue_moments.coefficients.coeff_vector` (finite
-n) or :func:`~cue_moments.coefficients.limit_coeff_vector` (the limit).
+Every moment is one recombination: a prefactor depending on two_h times
+the zeroth moment times sum_p w_p c_p, where c_p are the coefficients of
+the reduced moment polynomial from the determinant engine
+:func:`~cue_moments.coefficients.coeff_vector` and the weight w_p depends
+only on the parity of two_h and on n.  The limit is the same sum at n = 1
+over :func:`~cue_moments.coefficients.limit_coeff_vector`, times
+:func:`limit_moment_zero`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb, factorial, perm
 
 from .coefficients import coeff_vector, limit_coeff_vector
@@ -83,75 +87,64 @@ class LimitResult:
     terms_used: int
 
 
+def limit_moment_zero(k: int) -> Fraction:
+    """Scaled limit of the zeroth moment: the product over j < k of j! / (j+k)!."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    return Fraction(math.prod(map(factorial, range(k))), math.prod(map(factorial, range(k, 2 * k))))
+
+
 def keating_snaith(n: int, k: int) -> Fraction:
-    """Zeroth moment at size n: the product over j < k of j! (j+n+k)! / ((j+k)! (j+n)!).
+    """Zeroth moment at size n: limit_moment_zero(k) times the product over j < k of (j+n+k)!/(j+n)!.
 
     Equal to the product over j = 1..n of (j-1)! (j+2k-1)! / ((j+k-1)!)^2,
-    with k factors in place of n; (j+n+k)! / (j+n)! is taken as a product
-    of k integers.
+    with k factors in place of n, each a product of k integers.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got {(n, k)}")
-    numer = 1
-    denom = 1
-    for j in range(k):
-        numer *= factorial(j) * perm(j + n + k, k)
-        denom *= factorial(j + k)
-    return Fraction(numer, denom)
+    return limit_moment_zero(k) * math.prod(perm(j + n + k, k) for j in range(k))
 
 
-def _integer_h_sum(coeffs, two_h: int, n: int) -> Fraction:
-    """Sum over p of two_h!/(two_h - p)! (-n)^(two_h - p) c_p; n = 1 gives the limit."""
-    terms = (Fraction(factorial(two_h), factorial(two_h - p)) * (-n) ** (two_h - p) * c
-             for p, c in enumerate(coeffs))
-    return sum(terms, Fraction(0))
+def _prefactor(two_h: int, zeroth: Fraction) -> Fraction:
+    """The zeroth moment times (-1)^h / 2^two_h (even two_h) or 2 (-1)^(h + 1/2) / 2^two_h (odd)."""
+    return Fraction((1 + two_h % 2) * (-1) ** ((two_h + 1) // 2), 2 ** two_h) * zeroth
 
 
-def _half_h_first_sum(coeffs, two_h: int, n: int) -> Fraction:
-    """Sum over 1 <= ell <= p <= two_h of C(two_h, p - ell) (-1)^ell/ell (-n)^(two_h - p) p! c_p.
+def _weight(p: int, two_h: int, n: int) -> Fraction | int:
+    """Weight w_p of the coefficient c_p in the moment of order two_h at size n (n = 1: the limit).
 
-    n = 1 gives the limit.  Coefficients past the end of ``coeffs`` are zero.
+    Even two_h, p <= two_h: two_h!/(two_h - p)! (-n)^(two_h - p).  Odd two_h:
+    w_0 = 0; p! (-n)^(two_h - p) sum_{l=1..p} C(two_h, p - l) (-1)^l / l up
+    to p = two_h; two_h! (p - two_h - 1)! / n^(p - two_h) beyond.
     """
-    terms = (comb(two_h, p - ell) * Fraction((-1) ** ell, ell) * (-n) ** (two_h - p) * factorial(p) * c
-             for p, c in enumerate(coeffs[1 : two_h + 1], start=1) for ell in range(1, p + 1))
-    return sum(terms, Fraction(0))
+    if two_h % 2 == 0:
+        return perm(two_h, p) * (-n) ** (two_h - p)
+    if p > two_h:
+        return Fraction(factorial(two_h) * factorial(p - two_h - 1), n ** (p - two_h))
+    inner = sum((Fraction(comb(two_h, p - l) * (-1) ** l, l) for l in range(1, p + 1)), Fraction(0))
+    return factorial(p) * (-n) ** (two_h - p) * inner
+
+
+def _recombine(two_h: int, n: int, zeroth: Fraction, coeffs) -> Fraction:
+    """Prefactor times sum_p w_p c_p (times 1/pi for odd two_h); two_h = 0 gives ``zeroth``."""
+    total = sum((_weight(p, two_h, n) * c for p, c in enumerate(coeffs)), Fraction(0))
+    return _prefactor(two_h, zeroth) * total
 
 
 def moment_integer_h(n: int, h: int, k: int) -> Fraction:
-    """Joint moment for integer h >= 1, exact rational.
-
-    Requires k >= h.  Evaluates the zeroth moment times the degree-2h
-    binomial recombination of the finite-size series coefficients.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    """Joint moment for integer h >= 1, exact rational; needs an admissible order (2h, k)."""
     if h < 1:
         raise ValueError(f"h must be a positive integer, got {h}; use keating_snaith for h = 0")
-    if k < h:
-        raise ValueError(f"inadmissible order: need k >= h, got h={h}, k={k}")
-    two_h = 2 * h
-    total = _integer_h_sum(coeff_vector(k, n, two_h), two_h, n)
-    return Fraction((-1) ** h, 2 ** two_h) * keating_snaith(n, k) * total
+    MomentOrder(2 * h, k)
+    return _recombine(2 * h, n, keating_snaith(n, k), coeff_vector(k, n, 2 * h))
 
 
 def moment_half_h(n: int, two_h: int, k: int) -> ExactScalar:
-    """Joint moment for half-integer h = two_h / 2 with two_h odd.
-
-    Returns an exact rational multiple of 1/pi.  Requires 2k + 1 > two_h.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    """Joint moment for half-integer h = two_h / 2 (two_h odd), an exact rational multiple of 1/pi."""
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be odd, got {two_h}; use moment_integer_h")
-    order = MomentOrder(two_h, k)
-    coeffs = coeff_vector(k, n, k * n)
-    first = _half_h_first_sum(coeffs, two_h, n)
-    second = Fraction(0)
-    for p, coeff in enumerate(coeffs[two_h + 1 :], start=two_h + 1):
-        second += Fraction(factorial(two_h) * factorial(p - two_h - 1), n ** (p - two_h)) * coeff
-    m = (two_h + 1) // 2  # h + 1/2
-    prefactor = Fraction(2 * (-1) ** m, 2 ** two_h) * keating_snaith(n, order.k)
-    return ExactScalar(prefactor * (first + second), pi_exp=-1)
+    MomentOrder(two_h, k)
+    return ExactScalar(_recombine(two_h, n, keating_snaith(n, k), coeff_vector(k, n, k * n)), pi_exp=-1)
 
 
 def half_moment_k1_closed(n: int) -> ExactScalar:
@@ -162,33 +155,16 @@ def half_moment_k1_closed(n: int) -> ExactScalar:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    total = Fraction(0)
-    for j in range(n):
-        total += comb(n + 2, j + 3) * Fraction(2 ** j, n ** (j + 1))
+    total = sum((comb(n + 2, j + 3) * Fraction(2 ** j, n ** (j + 1)) for j in range(n)), Fraction(0))
     return ExactScalar(2 * total, pi_exp=-1)
 
 
-def limit_moment_zero(k: int) -> Fraction:
-    """Scaled limit of the zeroth moment: the product of (j-1)! / (k+j-1)!."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    numer = 1
-    denom = 1
-    for j in range(1, k + 1):
-        numer *= factorial(j - 1)
-        denom *= factorial(k + j - 1)
-    return Fraction(numer, denom)
-
-
 def limit_moment_integer_h(h: int, k: int) -> Fraction:
-    """Scaled limit of the integer-h moment, exact rational.  Requires k >= h."""
+    """Scaled limit of the integer-h moment, exact rational; needs an admissible order (2h, k)."""
     if h < 1:
         raise ValueError(f"h must be a positive integer, got {h}")
-    if k < h:
-        raise ValueError(f"inadmissible order: need k >= h, got h={h}, k={k}")
-    two_h = 2 * h
-    total = _integer_h_sum(limit_coeff_vector(k, two_h), two_h, 1)
-    return Fraction((-1) ** h, 2 ** two_h) * limit_moment_zero(k) * total
+    MomentOrder(2 * h, k)
+    return _recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_vector(k, 2 * h))
 
 
 _LIMIT_MAX_TERMS = 10_000
@@ -197,49 +173,38 @@ _LIMIT_MAX_TERMS = 10_000
 def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     """Scaled limit of the half-integer moment, truncated to tolerance ``tol``.
 
-    The infinite part has positive terms t_p = two_h! (p - two_h - 1)! c_p
-    with limiting coefficients c_p decaying super-exponentially.  Summation
-    stops at the first p >= two_h + 2k + 4 where t_p < tol/2 and the terms
-    have started at least halving; a geometric majorant then bounds the
-    dropped tail by 2 t_p.  All retained terms are summed in exact rational
-    arithmetic, so the reported value carries no roundoff beyond the final
-    conversion to float.  The coefficients come from
-    :func:`~cue_moments.coefficients.limit_coeff_vector`; whenever the sum
-    runs past the end of that vector, it is recomputed 1.5 times as long.
+    The recombination at n = 1 runs over every p; past p = two_h its terms
+    t_p = w_p c_p = two_h! (p - two_h - 1)! c_p are positive and decay
+    super-exponentially.  Summation stops at the first p >= two_h + 2k + 4
+    where t_p < tol/2 and the terms have started at least halving; a
+    geometric majorant then bounds the dropped tail by 2 t_p.  The retained
+    terms are summed exactly, so the value carries no roundoff beyond the
+    final conversion to float.  Whenever the sum runs past the end of the
+    limiting coefficient vector, it is recomputed 1.5 times as long.
     """
-    if two_h % 2 == 0 or two_h < 1:
+    if two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
-    order = MomentOrder(two_h, k)
+    MomentOrder(two_h, k)
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
-    settle_floor = two_h + 2 * order.k + 4
+    settle_floor = two_h + 2 * k + 4
     coeffs = limit_coeff_vector(k, settle_floor)
-    total = _half_h_first_sum(coeffs, two_h, 1)
     half_tol = Fraction(tol) / 2
-    previous_term: Fraction | None = None
-    terms_used = 0
-    p = two_h + 1
-    while True:
+    total = previous = Fraction(0)
+    for p in count():
         if p >= len(coeffs):
             coeffs = limit_coeff_vector(k, p + p // 2)
-        term = factorial(two_h) * factorial(p - two_h - 1) * coeffs[p]
+        term = _weight(p, two_h, 1) * coeffs[p]
         total += term
-        terms_used += 1
-        if (
-            p >= settle_floor
-            and term < half_tol
-            and previous_term is not None
-            and 2 * term < previous_term
-        ):
+        # Past the settle floor, previous is a tail term too.
+        if p >= settle_floor and term < half_tol and 2 * term < previous:
             break
-        if terms_used > _LIMIT_MAX_TERMS:
+        if p - two_h > _LIMIT_MAX_TERMS:
             raise RuntimeError(f"tolerance {tol} not reached within {_LIMIT_MAX_TERMS} terms")
-        previous_term = term
-        p += 1
+        previous = term
 
-    m = (two_h + 1) // 2
-    prefactor = Fraction(2 * (-1) ** m, 2 ** two_h) * limit_moment_zero(k)
+    prefactor = _prefactor(two_h, limit_moment_zero(k))
     value = float(prefactor * total) / math.pi
     tail_bound = float(abs(prefactor) * 2 * term) / math.pi
-    return LimitResult(value=value, tail_bound=tail_bound, terms_used=terms_used)
+    return LimitResult(value=value, tail_bound=tail_bound, terms_used=p - two_h)

@@ -25,16 +25,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .moments import MomentOrder
-from .specfun import moment_gen_series
+from .coefficients import coeff_vector
+from .moments import MomentOrder, keating_snaith
 
-# Finite samples are folded into the running mean and variance this many at
-# a time, at fixed positions of the sample sequence, so the estimate does not
-# depend on the batch size and memory stays O(batch).
-_STATS_BLOCK = 4096
+# Trials drawn, reduced and folded into the running mean and variance at a
+# time, so memory stays O(batch).
+_MC_BATCH = 4096
 # Simpson panels the quadrature starts from, before adaptive subdivision.
 _QUAD_PANELS = 4
 _QUAD_MAX_DEPTH = 48
+_QUAD_MAX_EVALS = 20_000_000
 
 
 class QuadratureError(RuntimeError):
@@ -117,55 +117,38 @@ def _fold(stats: tuple[int, float, float], block: np.ndarray) -> tuple[int, floa
     return total, mean + delta * size / total, m2 + block_m2 + delta * delta * count * size / total
 
 
-def mc_moment(
-    n: int,
-    two_h: int,
-    k: int,
-    trials: int,
-    seed: int,
-    batch_size: int = 4096,
-) -> MCEstimate:
+def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the joint moment of order (two_h, k) at size n.
 
     Averages |V|^(2k - two_h) |V'|^two_h over ``trials`` independent CUE
     samples, each drawn as Verblunsky coefficients and reduced by Szegő's
-    recursion at z = 1, ``batch_size`` trials at a time.  Trial t reads a
-    fixed window of the Philox stream keyed by ``seed`` (an integer in
-    [0, 2^64)), so the estimate is bit-identical for fixed (seed, trials)
-    whatever the batch size.  Non-finite samples are left out of the mean
-    and standard error and counted in ``redraws``; fewer than two finite
-    samples raise ArithmeticError.
+    recursion at z = 1, 4096 trials at a time.  Trial t reads a fixed window
+    of the Philox stream keyed by ``seed`` (an integer in [0, 2^64)), so the
+    estimate is bit-identical for fixed (seed, trials).  Non-finite samples
+    are left out of the mean and standard error and counted in ``redraws``;
+    fewer than two finite samples raise ArithmeticError.
     """
     order = MomentOrder(two_h, k)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if trials < 2:
         raise ValueError(f"need trials >= 2 for a standard error, got {trials}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     a = 2 * order.k - order.two_h
     stats = (0, 0.0, 0.0)
-    pending = np.empty(0)
-    nonfinite = 0
-    for start in range(0, trials, batch_size):
-        abs_v, abs_vp = _szego_at_one(_draw_verblunsky(n, seed, start, min(batch_size, trials - start)))
+    for start in range(0, trials, _MC_BATCH):
+        abs_v, abs_vp = _szego_at_one(_draw_verblunsky(n, seed, start, min(_MC_BATCH, trials - start)))
         with np.errstate(over="ignore", invalid="ignore"):
             values = abs_v ** a * abs_vp ** two_h
-        finite = np.isfinite(values)
-        nonfinite += values.size - int(finite.sum())
-        pending = np.concatenate((pending, values[finite]))
-        while pending.size >= _STATS_BLOCK:
-            stats = _fold(stats, pending[:_STATS_BLOCK])
-            pending = pending[_STATS_BLOCK:]
-    if pending.size:
-        stats = _fold(stats, pending)
+        values = values[np.isfinite(values)]
+        if values.size:
+            stats = _fold(stats, values)
     count, mean, m2 = stats
     if count < 2:
         raise ArithmeticError(f"only {count} of {trials} Monte Carlo samples are finite")
     stderr = math.sqrt(m2 / (count - 1) / count)
-    return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, redraws=nonfinite)
+    return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, redraws=trials - count)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, budget: list[int]) -> float:
@@ -226,7 +209,7 @@ def _weight_integral(k: int, n: int, zeta: float, moment: int, kind: str, tol: f
     return _adaptive_simpson(f, -math.pi / 2.0, math.pi / 2.0, tol, budget)
 
 
-def quad_moment_integral(k: int, zeta: float, n: int, tol: float, max_evals: int = 20_000_000) -> float:
+def quad_moment_integral(k: int, zeta: float, n: int, tol: float) -> float:
     """Direct quadrature of the defining moment integral at matrix size 1 or 2.
 
     Integrates prod_j e^(i zeta x_j) (1 + x_j^2)^(-(n+k)) times the squared
@@ -234,8 +217,9 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float, max_evals: int
     vanishes by symmetry).  For n = 2 the squared Vandermonde
     (x2 - x1)^2 = x1^2 - 2 x1 x2 + x2^2 splits the double integral into
     products of one-dimensional integrals of x^m cos/sin(zeta x) against the
-    weight.  Raises QuadratureError when the subdivision budget runs out
-    or a panel still has not converged at the subdivision depth cap.
+    weight.  Raises QuadratureError when the budget of 20 million
+    evaluations runs out or a panel still has not converged at the
+    subdivision depth cap.
     """
     if n not in (1, 2):
         raise ValueError(f"direct quadrature supports n in {{1, 2}}, got {n}")
@@ -245,7 +229,7 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float, max_evals: int
         raise ValueError(f"tol must be positive, got {tol}")
     if not math.isfinite(zeta):
         raise ValueError(f"zeta must be finite, got {zeta}")
-    budget = [max_evals]
+    budget = [_QUAD_MAX_EVALS]
     if n == 1:
         return _weight_integral(k, 1, zeta, 0, "cos", tol, budget)
     # Sub-integral errors enter through two products; tol/32 per piece keeps
@@ -260,13 +244,19 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float, max_evals: int
 def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     """The same integral reconstituted from the exact reduced polynomial.
 
-    Multiplies the reduced moment polynomial by its transcendental
-    prefactor pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) in floating point.
+    The reduced polynomial is keating_snaith(n, k) sum_p c_p |zeta|^p with
+    the coefficients c_p of the production engine
+    :func:`~cue_moments.coefficients.coeff_vector`, the ones every exact
+    moment uses.  It is multiplied by its transcendental prefactor
+    pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) in floating point.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
     z = abs(zeta)
-    reduced = moment_gen_series(k, n, Fraction(z))
+    exact_z, series = Fraction(z), Fraction(0)
+    for c in reversed(coeff_vector(k, n, k * n)):
+        series = series * exact_z + c
+    reduced = keating_snaith(n, k) * series
     prefactor = (
         math.pi ** n
         * math.factorial(n)

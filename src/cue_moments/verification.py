@@ -50,10 +50,10 @@ def _run(name: str, cases: Iterable[bool]) -> CheckResult:
     return CheckResult(name=name, checks=checks, failures=failures)
 
 
-def check_transpose_identities(max_weight: int = 12) -> CheckResult:
+def check_transpose_identities() -> CheckResult:
     bases = (-3, -1, Fraction(1, 2), 2)
     def cases():
-        for w in range(max_weight + 1):
+        for w in range(13):
             for lam in partitions_of(w, max(w, 1)):
                 lam_t = transpose(lam)
                 yield hook_product(lam_t) == hook_product(lam)
@@ -62,102 +62,98 @@ def check_transpose_identities(max_weight: int = 12) -> CheckResult:
     return _run("transpose-identities", cases())
 
 
-def check_hook_content_sums(max_p: int = 20, max_k: int = 4) -> CheckResult:
+def check_hook_content_sums() -> CheckResult:
     return _run(
         "hook-content-sums",
         (
             hook_content_sum(p, k) == Fraction(k ** p, factorial(p))
-            for p in range(max_p + 1)
-            for k in range(1, max_k + 1)
+            for p in range(21)
+            for k in range(1, 5)
         ),
     )
 
 
-def check_binomial_residuals(max_n: int = 10) -> CheckResult:
+def check_binomial_residuals() -> CheckResult:
     def cases():
         for two_h in (1, 3, 5):
             for k in (1, 2, 3):
                 if two_h > 2 * k:
                     continue
-                for n in range(1, max_n + 1):
+                for n in range(1, 11):
                     yield binomial_residual(two_h, k, n) == 0
     return _run("vanishing-residuals", cases())
 
 
-def check_alternating_binomial_sums(max_p: int = 25) -> CheckResult:
+def check_alternating_binomial_sums() -> CheckResult:
     return _run(
         "alternating-binomial-sums",
         (
             alternating_binomial_sum(p, n) == 1
-            for p in range(1, max_p + 1)
+            for p in range(1, 26)
             for n in range(p)
         ),
     )
 
 
-def check_two_row_sums(max_p: int = 25) -> CheckResult:
+def check_two_row_sums() -> CheckResult:
     return _run(
         "two-row-partition-sums",
         (
             two_row_partition_sum(p)
             == Fraction(2 * comb(2 * p + 4, p), factorial(p + 2) * factorial(p + 3))
-            for p in range(max_p + 1)
+            for p in range(26)
         ),
     )
 
 
-def check_coeff_bounds(max_p: int = 20, max_k: int = 3, sizes: tuple[int, ...] = (1, 5, 25)) -> CheckResult:
+def check_coeff_bounds() -> CheckResult:
     return _run(
         "coefficient-bounds",
         (
             abs(series_coeff(p, k, n)) <= series_coeff_bound(p, k, n)
-            for p in range(2, max_p + 1)
-            for k in range(1, max_k + 1)
-            for n in sizes
+            for p in range(2, 21)
+            for k in range(1, 4)
+            for n in (1, 5, 25)
         ),
     )
 
 
-def check_closed_forms(max_p: int = 30) -> CheckResult:
+def check_closed_forms() -> CheckResult:
     return _run(
         "closed-form-coefficients",
         (
             series_coeff_limit(p, k) == series_coeff_closed(p, k)
-            for p in range(max_p + 1)
+            for p in range(31)
             for k in (1, 2)
         ),
     )
 
 
-def check_three_route_identity(
-    max_k: int = 4,
-    max_n: int = 8,
-    zetas: tuple[Fraction, ...] = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2)),
-) -> CheckResult:
+def check_three_route_identity() -> CheckResult:
     def cases():
-        for k in range(1, max_k + 1):
-            for n in range(1, max_n + 1):
-                for z in zetas:
+        for k in range(1, 5):
+            for n in range(1, 9):
+                for z in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2)):
                     w = moment_gen_wronskian(k, n, z)
                     yield w == moment_gen_hankel(k, n, z)
                     yield w == moment_gen_series(k, n, z)
     return _run("three-route-identity", cases())
 
 
-def check_coefficient_engine(max_k: int = 4, max_n: int = 8, max_p: int = 20) -> CheckResult:
+def check_coefficient_engine() -> CheckResult:
     """The determinant engine against the partition sums, one check per coefficient vector."""
     def cases():
-        for k in range(1, max_k + 1):
-            for n in range(1, max_n + 1):
+        for k in range(1, 5):
+            for n in range(1, 9):
                 yield coeff_vector(k, n, k * n) == tuple(series_coeff(p, k, n) for p in range(k * n + 1))
-            yield limit_coeff_vector(k, max_p) == tuple(series_coeff_limit(p, k) for p in range(max_p + 1))
+            yield limit_coeff_vector(k, 20) == tuple(series_coeff_limit(p, k) for p in range(21))
     return _run("coefficient-engine", cases())
 
 
-def check_half_moment_closed_form(max_n: int = 50) -> CheckResult:
+def check_half_moment_closed_form() -> CheckResult:
     return _run(
         "half-moment-closed-form",
-        (moment_half_h(n, 1, 1) == half_moment_k1_closed(n) for n in range(1, max_n + 1)),
+        (moment_half_h(n, 1, 1) == half_moment_k1_closed(n) for n in range(1, 51)),
     )
 
 

@@ -116,6 +116,11 @@ class TestLimitCommand:
         assert code == 0
         assert "1/12" in out
 
+    def test_inadmissible_even_order_is_reported_like_moment(self, capsys):
+        code, out, err = run_cli(capsys, "limit", "--two-h", "4", "--k", "1", "--tol", "1e-8")
+        assert (code, out) == (1, "")
+        assert err == "error: inadmissible order: need 2k + 1 > two_h, got two_h=4, k=1\n"
+
 
 class TestTableCommand:
     def test_row_count_and_inadmissible_marker(self, capsys):
@@ -127,6 +132,14 @@ class TestTableCommand:
         assert len(rows) == 9
         markers = [r for r in rows if r["exact"] == "inadmissible"]
         assert len(markers) == 3  # two_h = 3 with k = 1 for each n
+
+    @pytest.mark.parametrize(
+        "lists", [("--n", "0,2", "--two-h", "0", "--k", "1"), ("--n", "2", "--two-h", "0", "--k", "1,0")]
+    )
+    def test_invalid_size_is_an_error_not_inadmissible(self, capsys, lists):
+        code, out, err = run_cli(capsys, "table", *lists)
+        assert (code, out) == (1, "")
+        assert err == "error: command 'table' needs every n >= 1, two_h >= 0 and k >= 1\n"
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "1,2", "--two-h", "0,1", "--k", "1", "--format", "csv")

@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
+from cue_moments.coefficients import coeff_vector, limit_coeff_vector
 from cue_moments.moments import (
     ExactScalar,
     MomentOrder,
+    _recombine,
     half_moment_k1_closed,
     keating_snaith,
     limit_moment_half_h,
@@ -84,6 +86,12 @@ class TestIntegerMoments:
             assert moment_integer_h(n, 1, 1) == Fraction(n * (n + 1) * (n + 2), 12)
         assert moment_integer_h(1, 1, 1) == Fraction(1, 2)
         assert moment_integer_h(2, 1, 1) == 2
+
+    def test_two_h_zero_recombines_to_the_zeroth_moment(self):
+        for k in range(1, 5):
+            for n in range(1, 9):
+                assert _recombine(0, n, keating_snaith(n, k), coeff_vector(k, n, 0)) == keating_snaith(n, k)
+            assert _recombine(0, 1, limit_moment_zero(k), limit_coeff_vector(k, 0)) == limit_moment_zero(k)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
