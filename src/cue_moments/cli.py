@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
@@ -27,7 +28,7 @@ from .moments import (
     moment_half_h,
     moment_integer_h,
 )
-from .oracles import closed_form_moment_integral, mc_moment, quad_moment_integral
+from .oracles import QUAD_N_MAX, closed_form_moment_integral, mc_moment, quad_moment_integral
 from .verification import run_all_checks
 
 # A runner's text lines, JSON payload (inputs, result, optional exact) and CSV rows.
@@ -270,6 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n", type=_int_list, required=True, metavar="LIST")
     p_table.add_argument("--two-h", type=_int_list, required=True, dest="two_h", metavar="LIST")
     p_table.add_argument("--k", type=_int_list, required=True, metavar="LIST")
+    # A list with a leading minus ("-1,0") is a value, so it reaches the size check.
+    p_table._negative_number_matcher = re.compile(r"^-\d[\d,-]*$")
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimate over Haar-random unitaries")
     p_mc.add_argument("--n", type=int, required=True)
@@ -278,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--trials", type=int, required=True)
     p_mc.add_argument("--seed", type=int, default=0)
 
-    p_quad = sub.add_parser("quad", help="direct quadrature of the defining integral (n = 1 or 2)")
+    p_quad = sub.add_parser("quad", help=f"direct quadrature of the defining integral (n <= {QUAD_N_MAX})")
     p_quad.add_argument("--k", type=int, required=True)
     p_quad.add_argument("--zeta", type=float, default=1.0)
     p_quad.add_argument("--n", type=int, required=True)

@@ -134,7 +134,15 @@ class TestTableCommand:
         assert len(markers) == 3  # two_h = 3 with k = 1 for each n
 
     @pytest.mark.parametrize(
-        "lists", [("--n", "0,2", "--two-h", "0", "--k", "1"), ("--n", "2", "--two-h", "0", "--k", "1,0")]
+        "lists",
+        [
+            ("--n", "0,2", "--two-h", "0", "--k", "1"),
+            ("--n", "2", "--two-h", "0", "--k", "1,0"),
+            # A leading minus must not make argparse read the list as an option.
+            ("--n", "-1,2", "--two-h", "0", "--k", "1"),
+            ("--n", "2", "--two-h", "-1,0", "--k", "1"),
+            ("--n", "2", "--two-h", "0", "--k", "-1,1"),
+        ],
     )
     def test_invalid_size_is_an_error_not_inadmissible(self, capsys, lists):
         code, out, err = run_cli(capsys, "table", *lists)
@@ -190,6 +198,16 @@ class TestQuadCommand:
         assert code == 0
         payload = json.loads(out)
         assert float(payload["result"]["abs_diff"]) <= 1e-6
+
+    def test_non_finite_tol_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "quad", "--k", "1", "--zeta", "1", "--n", "1", "--tol", "inf")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "tol" in err
+
+    def test_uncertified_request_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "quad", "--k", "1", "--zeta", "1e300", "--n", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: quadrature error bound")
 
 
 class TestVerifyCommand:

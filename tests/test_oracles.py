@@ -208,33 +208,43 @@ class TestQuadrature:
                 value = quad_moment_integral(k, zeta, n, 1e-8)
                 closed = closed_form_moment_integral(k, zeta, n)
                 assert abs(value - closed) <= 1e-6
+        # Cells an earlier rule missed by 2.1e-8 and 5.7e-9 at tol 1e-9.
+        for k, n, zeta in ((3, 1, 3.5), (1, 1, 3.5)):
+            value = quad_moment_integral(k, zeta, n, 1e-9)
+            assert abs(value - closed_form_moment_integral(k, zeta, n)) <= 1e-9
+        # At large k a contour at height 1/2 would cancel terms of size
+        # (4/3)^(n+k) and miss tol; the lower saddle height keeps it.
+        value = quad_moment_integral(50, 0.0, 1, 1e-9)
+        assert abs(value - closed_form_moment_integral(50, 0.0, 1)) <= 1e-9
 
     def test_even_in_zeta(self):
-        for zeta in (0.5, 1.0, 3.0):
-            plus = quad_moment_integral(1, zeta, 2, 1e-8)
-            minus = quad_moment_integral(1, -zeta, 2, 1e-8)
-            assert abs(plus - minus) <= 2e-8
+        for n in (2, 3):
+            for zeta in (0.5, 1.0, 3.0):
+                plus = quad_moment_integral(1, zeta, n, 1e-8)
+                minus = quad_moment_integral(1, -zeta, n, 1e-8)
+                assert abs(plus - minus) <= 2e-8
 
-    def test_budget_failure_reported(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_QUAD_MAX_EVALS", 40)
-        with pytest.raises(QuadratureError):
-            quad_moment_integral(1, 1.0, 1, 1e-10)
-
-    def test_depth_cap_is_an_error(self):
-        # A jump never passes the Richardson test, however fine the panel.
-        def step(x):
-            return 0.0 if x < 0.3 else 1.0
-        with pytest.raises(QuadratureError, match="depth cap"):
-            oracles._adaptive_simpson(step, 0.0, 1.0, 1e-12, [10 ** 6])
+    def test_uncertified_request_is_an_error(self):
+        # The rounding floor alone exceeds tol 1e-300; resolving e^(i zeta x)
+        # at zeta = 1e300 needs more nodes than the cap.
+        for zeta, tol in ((1.0, 1e-300), (1e300, 1e-8)):
+            with pytest.raises(QuadratureError, match="error bound .* exceeds tol"):
+                quad_moment_integral(1, zeta, 1, tol)
 
     def test_matches_closed_form_all_orders(self):
-        # Includes (k, n, zeta) = (3, 2, 0), where starting from one panel
-        # stopped on an accidental agreement and gave 0.224893.
+        # Includes (k, n, zeta) = (3, 2, 0), where an earlier rule stopped on an
+        # accidental agreement and gave 0.224893.  At tol 1e-15 the bound may
+        # not be met, but a returned value must still be within tol.
         for k in range(1, 5):
-            for n in (1, 2):
-                for zeta in (0.0, 1 / 3, 1.0, 3.5, 10.0):
-                    value = quad_moment_integral(k, zeta, n, 1e-10)
-                    assert abs(value - closed_form_moment_integral(k, zeta, n)) <= 1e-8
+            for n in range(1, oracles.QUAD_N_MAX + 1):
+                for zeta in (0.0, 1 / 3, 1.0, 3.5, 10.0, 30.0, -2.0):
+                    closed = closed_form_moment_integral(k, zeta, n)
+                    for tol in (1e-8, 1e-10):
+                        assert abs(quad_moment_integral(k, zeta, n, tol) - closed) <= tol
+                    try:
+                        assert abs(quad_moment_integral(k, zeta, n, 1e-15) - closed) <= 1e-15
+                    except QuadratureError:
+                        pass
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -242,8 +252,10 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             quad_moment_integral(1, float("inf"), 2, 1e-8)
         with pytest.raises(ValueError):
-            quad_moment_integral(1, 1.0, 3, 1e-8)
+            quad_moment_integral(1, 1.0, oracles.QUAD_N_MAX + 1, 1e-8)
         with pytest.raises(ValueError):
             quad_moment_integral(0, 1.0, 1, 1e-8)
         with pytest.raises(ValueError):
             quad_moment_integral(1, 1.0, 1, 0.0)
+        with pytest.raises(ValueError, match="tol"):
+            quad_moment_integral(1, 1.0, 1, float("inf"))
