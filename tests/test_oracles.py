@@ -224,9 +224,15 @@ class TestQuadrature:
                 minus = quad_moment_integral(1, -zeta, n, 1e-8)
                 assert abs(plus - minus) <= 2e-8
 
-    def test_uncertified_request_is_an_error(self):
-        # The rounding floor alone exceeds tol 1e-300; resolving e^(i zeta x)
-        # at zeta = 1e300 needs more nodes than the cap.
+    def test_budget_failure_reported(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_QUAD_MAX_NODES", 40)
+        with pytest.raises(QuadratureError, match="at the cap of 40 trapezoid nodes"):
+            quad_moment_integral(1, 1.0, 1, 1e-10)
+
+    def test_depth_cap_is_an_error(self):
+        # No refinement depth certifies these: the rounding floor alone exceeds
+        # tol 1e-300, and resolving e^(i zeta x) at zeta = 1e300 needs more
+        # nodes than the cap.
         for zeta, tol in ((1.0, 1e-300), (1e300, 1e-8)):
             with pytest.raises(QuadratureError, match="error bound .* exceeds tol"):
                 quad_moment_integral(1, zeta, 1, tol)
