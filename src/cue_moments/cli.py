@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -233,7 +234,7 @@ def run(args: argparse.Namespace) -> int:
     try:
         text, payload, rows = _RUNNERS[args.command](args)
         _emit(args, text, payload, rows)
-    except (ValueError, RuntimeError, ArithmeticError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
@@ -250,7 +251,14 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call.
+
+    Parsing keeps no state in the parser: each ``parse_args`` returns a fresh
+    namespace, and help and usage are formatted at the terminal width of the
+    moment, so :func:`main` can serve many requests in one process.
+    """
     parser = argparse.ArgumentParser(
         prog="cue-moments",
         description="Joint moments of CUE characteristic polynomials and their derivative, exactly.",

@@ -32,8 +32,10 @@ from .coefficients import coeff_vector
 from .moments import MomentOrder, keating_snaith
 
 # Trials drawn, reduced and folded into the running mean and variance at a
-# time, so memory stays O(batch).
+# time: _MC_BATCH, or fewer above n = 512 so that a batch of about 2n doubles
+# per trial stays near _MC_BATCH_DOUBLES (32 MB) and memory is O(batch) at any n.
 _MC_BATCH = 4096
+_MC_BATCH_DOUBLES = 2 ** 22
 # Largest matrix size quad_moment_integral accepts.  At the default tol 1e-8
 # its relative error on the k <= 4, |zeta| <= 30 grid is at most 1.4e-6 at
 # n = 4 and 2.9e-5 at n = 5, but 8e-2 at n = 6, where values near 1e-10
@@ -128,7 +130,8 @@ def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
 
     Averages |V|^(2k - two_h) |V'|^two_h over ``trials`` independent CUE
     samples, each drawn as Verblunsky coefficients and reduced by Szegő's
-    recursion at z = 1, 4096 trials at a time.  Trial t reads a fixed window
+    recursion at z = 1, max(1, min(4096, 2^21 // n)) trials at a time, so
+    one batch holds about 2^22 doubles at any n.  Trial t reads a fixed window
     of the Philox stream keyed by ``seed`` (an integer in [0, 2^64)), so the
     estimate is bit-identical for fixed (seed, trials).  Non-finite samples
     are left out of the mean and standard error and counted in ``redraws``;
@@ -142,9 +145,10 @@ def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     a = 2 * order.k - order.two_h
+    batch = max(1, min(_MC_BATCH, _MC_BATCH_DOUBLES // (2 * n)))
     stats = (0, 0.0, 0.0)
-    for start in range(0, trials, _MC_BATCH):
-        abs_v, abs_vp = _szego_at_one(_draw_verblunsky(n, seed, start, min(_MC_BATCH, trials - start)))
+    for start in range(0, trials, batch):
+        abs_v, abs_vp = _szego_at_one(_draw_verblunsky(n, seed, start, min(batch, trials - start)))
         with np.errstate(over="ignore", invalid="ignore"):
             values = abs_v ** a * abs_vp ** two_h
         values = values[np.isfinite(values)]

@@ -7,12 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from cue_moments.cli import _decimal, format_exact, main
+from cue_moments import oracles
+from cue_moments.cli import _decimal, build_parser, format_exact, main
 from cue_moments.moments import ExactScalar, keating_snaith
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error or --help
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -172,6 +176,15 @@ class TestMCCommand:
         assert abs(float(payload["result"]["z_score"])) < 6
         assert payload["result"]["trials"] == 4000
 
+    def test_out_of_memory_is_an_error_not_a_traceback(self, capsys, monkeypatch):
+        def out_of_memory(n, seed, start, count):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array with shape (2, 2000000000000)")
+        monkeypatch.setattr(oracles, "_draw_verblunsky", out_of_memory)
+        code, out, err = run_cli(capsys, "mc", "--n", "1000000000000", "--two-h", "0", "--k", "1", "--trials", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: Unable to allocate 29.1 TiB for an array with shape (2, 2000000000000)\n"
+
     def test_negative_seed_is_an_error(self, capsys):
         code, out, err = run_cli(
             capsys, "mc", "--n", "2", "--two-h", "0", "--k", "1", "--trials", "100", "--seed", "-1",
@@ -228,6 +241,129 @@ class TestConfigHandling:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+
+# Help of the top level and of each subcommand at COLUMNS=80.
+HELP = {
+    "": """\
+usage: cue-moments [-h] {moment,limit,table,mc,quad,verify} ...
+
+Joint moments of CUE characteristic polynomials and their derivative, exactly.
+
+positional arguments:
+  {moment,limit,table,mc,quad,verify}
+    moment              exact moment at finite matrix size
+    limit               scaled large-size limit of a moment
+    table               moments over an (n, 2h, k) grid
+    mc                  Monte Carlo estimate over Haar-random unitaries
+    quad                direct quadrature of the defining integral (n <= 5)
+    verify              run every exact identity suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "moment": """\
+usage: cue-moments moment [-h] --n N --two-h TWO_H --k K
+                          [--format {text,json,csv}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --two-h TWO_H         2h (h may be half-integer)
+  --k K
+  --format {text,json,csv}
+  --out PATH
+""",
+    "limit": """\
+usage: cue-moments limit [-h] --two-h TWO_H --k K --tol TOL
+                         [--format {text,json,csv}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --two-h TWO_H
+  --k K
+  --tol TOL
+  --format {text,json,csv}
+  --out PATH
+""",
+    "table": """\
+usage: cue-moments table [-h] --n LIST --two-h LIST --k LIST
+                         [--format {text,json,csv}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --n LIST
+  --two-h LIST
+  --k LIST
+  --format {text,json,csv}
+  --out PATH
+""",
+    "mc": """\
+usage: cue-moments mc [-h] --n N --two-h TWO_H --k K --trials TRIALS
+                      [--seed SEED] [--format {text,json,csv}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --two-h TWO_H
+  --k K
+  --trials TRIALS
+  --seed SEED
+  --format {text,json,csv}
+  --out PATH
+""",
+    "quad": """\
+usage: cue-moments quad [-h] --k K [--zeta ZETA] --n N [--tol TOL]
+                        [--format {text,json,csv}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --k K
+  --zeta ZETA
+  --n N
+  --tol TOL
+  --format {text,json,csv}
+  --out PATH
+""",
+    "verify": """\
+usage: cue-moments verify [-h] [--format {text,json,csv}] [--out PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json,csv}
+  --out PATH
+""",
+}
+
+
+class TestParserReuse:
+    def test_reused_parser_carries_no_state(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        requests = (["moment", "--n", "3", "--two-h", "1", "--k", "2", "--format", "json"],
+                    ["limit", "--two-h", "1", "--k", "1", "--tol", "1e-10"])
+        usage_error = ["moment", "--n", "1", "--k", "1"]
+        size_error = ["table", "--n", "1", "--two-h", "-1,0", "--k", "1"]
+        first = [run_cli(capsys, *argv) for argv in requests]
+        assert [code for code, _, _ in first] == [0, 0]
+        for disturbance in (usage_error, ["--help"], size_error):
+            seen = run_cli(capsys, *disturbance)
+            assert [run_cli(capsys, *argv) for argv in requests] == first
+            assert run_cli(capsys, *disturbance) == seen
+        assert run_cli(capsys, *usage_error)[0] == 2
+        assert run_cli(capsys, "--help") == (0, HELP[""], "")
+        assert run_cli(capsys, *size_error) == (
+            1, "", "error: command 'table' needs every n >= 1, two_h >= 0 and k >= 1\n")
+        assert build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        # Build under another width: help must be laid out at the width of the call.
+        monkeypatch.setenv("COLUMNS", "40")
+        build_parser.cache_clear()
+        build_parser()
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        assert run_cli(capsys, *argv) == (0, HELP[command], "")
 
 
 class TestFileOutput:

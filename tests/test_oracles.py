@@ -166,6 +166,21 @@ class TestMCMoment:
         with pytest.raises(ArithmeticError):
             mc_moment(1, 1, 1, 10, 0)
 
+    def test_batch_memory_is_capped_at_large_n(self, monkeypatch):
+        # Each trial draws about 2n doubles: at n = 1000 a batch holds
+        # 2^21 // 1000 = 2097 trials, not 4096, so one draw stays under 2^22 doubles.
+        shapes = []
+
+        def spy(n, seed, start, count):
+            alpha = _draw_verblunsky(n, seed, start, count)
+            shapes.append((count, 4 * -(-(2 * n - 1) // 4)))
+            return alpha
+        monkeypatch.setattr(oracles, "_draw_verblunsky", spy)
+        est = mc_moment(1000, 2, 1, 2500, 7)
+        assert [count for count, _ in shapes] == [2097, 403]
+        assert all(count * width <= 2 ** 22 for count, width in shapes)
+        assert est.trials == 2500 and est.stderr > 0
+
     def test_trial_windows_are_independent_of_the_batch(self):
         whole = _draw_verblunsky(4, 5, 0, 10)
         assert np.array_equal(_draw_verblunsky(4, 5, 3, 7), whole[3:])
