@@ -39,17 +39,11 @@ Output = tuple[list[str], dict, list[dict]]
 def format_exact(value: Fraction | ExactScalar) -> str:
     """Canonical exact string: num/den for rationals, q/pi forms for pi multiples.
 
-    Python's int-to-str digit limit is lifted only while formatting, so an
-    exact value of any length prints, and argv parsing keeps its protection.
+    Digits print through ``Decimal``, which the int-to-str digit limit does not cover.
     """
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        return str(value) if isinstance(value, ExactScalar) else f"{value.numerator}/{value.denominator}"
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    if isinstance(value, ExactScalar):
+        return str(value)
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def _to_float(value: Fraction | ExactScalar) -> float:
@@ -78,7 +72,7 @@ def _decimal(value: float | Fraction | ExactScalar) -> str:
 
 
 def _decimal_exact(value: Fraction | ExactScalar) -> str:
-    q, over_pi = (value.q, value.pi_exp == -1) if isinstance(value, ExactScalar) else (value, False)
+    q, over_pi = (value.q, True) if isinstance(value, ExactScalar) else (value, False)
     with localcontext() as ctx:
         ctx.Emax, ctx.Emin, ctx.prec = MAX_EMAX, MIN_EMIN, 40
         d = Decimal(q.numerator) / q.denominator
@@ -118,8 +112,8 @@ def _run_moment(args: argparse.Namespace) -> Output:
 
 
 def _run_limit(args: argparse.Namespace) -> Output:
-    if not math.isfinite(args.tol):
-        raise ValueError(f"tol must be a finite number, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"tol must be a positive finite number, got {args.tol}")
     two_h, k = args.two_h, args.k
     exact_str, tail_bound, terms = "", 0.0, 0
     if two_h % 2 == 0:
@@ -145,8 +139,10 @@ def _run_table(args: argparse.Namespace) -> Output:
         raise ValueError("command 'table' needs every n >= 1, two_h >= 0 and k >= 1")
     rows = []
     for n, two_h, k in product(args.n, args.two_h, args.k):
-        if 2 * k + 1 <= two_h:
-            # Inadmissible cells stay in the table with an explicit marker.
+        try:
+            MomentOrder(two_h, k)
+        except ValueError:
+            # The sizes are valid, so the order is inadmissible: the cell stays, marked.
             rows.append({"n": n, "two_h": two_h, "k": k, "exact": "inadmissible", "value": ""})
         else:
             rows.append(_moment_row(n, two_h, k))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count
 from math import comb, factorial, perm
@@ -49,33 +50,22 @@ class MomentOrder:
                 f"inadmissible order: need 2k + 1 > two_h, got two_h={self.two_h}, k={self.k}"
             )
 
-    @property
-    def is_half_integer(self) -> bool:
-        return self.two_h % 2 == 1
-
 
 @dataclass(frozen=True)
 class ExactScalar:
-    """Exact real value q * pi^pi_exp with rational q and pi_exp in {0, -1}."""
+    """Exact real value q / pi with rational q; its string prints the digits through ``Decimal``."""
 
     q: Fraction
-    pi_exp: int = 0
 
     def __post_init__(self) -> None:
-        if self.pi_exp not in (0, -1):
-            raise ValueError(f"pi_exp must be 0 or -1, got {self.pi_exp}")
         object.__setattr__(self, "q", Fraction(self.q))
 
     def to_float(self) -> float:
-        value = float(self.q)
-        return value / math.pi if self.pi_exp == -1 else value
+        return float(self.q) / math.pi
 
     def __str__(self) -> str:
-        if self.pi_exp == 0:
-            return str(self.q)
-        if self.q.denominator == 1:
-            return f"{self.q.numerator}/pi"
-        return f"{self.q.numerator}/({self.q.denominator}*pi)"
+        num, den = Decimal(self.q.numerator), self.q.denominator
+        return f"{num}/pi" if den == 1 else f"{num}/({Decimal(den)}*pi)"
 
 
 @dataclass(frozen=True)
@@ -144,7 +134,7 @@ def moment_half_h(n: int, two_h: int, k: int) -> ExactScalar:
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be odd, got {two_h}; use moment_integer_h")
     MomentOrder(two_h, k)
-    return ExactScalar(_recombine(two_h, n, keating_snaith(n, k), coeff_vector(k, n, k * n)), pi_exp=-1)
+    return ExactScalar(_recombine(two_h, n, keating_snaith(n, k), coeff_vector(k, n, k * n)))
 
 
 def half_moment_k1_closed(n: int) -> ExactScalar:
@@ -156,7 +146,7 @@ def half_moment_k1_closed(n: int) -> ExactScalar:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     total = sum((comb(n + 2, j + 3) * Fraction(2 ** j, n ** (j + 1)) for j in range(n)), Fraction(0))
-    return ExactScalar(2 * total, pi_exp=-1)
+    return ExactScalar(2 * total)
 
 
 def limit_moment_integer_h(h: int, k: int) -> Fraction:

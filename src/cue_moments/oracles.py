@@ -208,11 +208,12 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float) -> float:
     z = abs(zeta)
     c = min(0.5, z / (2 * (n + k)))
     # Both tails together are at most 2 A 2^m e^(-m T - z c cosh T) / m with
-    # m = 2k + 1; T in [1, 80] gives them 2^-20 of tol if it can (x^(2n-2) is
-    # still finite at 80).
+    # m = 2k + 1; T in [1, 80] gives them 2^-20 of tol if it can.  At T the
+    # powers stay finite: x^(2n-2) below T = 80, and (1 + x^2)^(n+k), about
+    # e^(2T(n+k)), below T = 330 / (n + k).
     m = 2 * k + 1
     log_a = (n - 0.5) * math.log1p(c * c) - (n + k) * math.log1p(-c * c) + m * math.log(2)
-    T = min(max((log_a + math.log(2 / m) - math.log(tol) + 20 * math.log(2)) / m, 1.0), 80.0)
+    T = min(max((log_a + math.log(2 / m) - math.log(tol) + 20 * math.log(2)) / m, 1.0), 80.0, 330 / (n + k))
     tail = 2 * math.exp(log_a - m * T - z * c * math.cosh(T)) / m
     hankel = np.add.outer(np.arange(n), np.arange(n))
     off = ~np.eye(n, dtype=bool)
@@ -246,8 +247,12 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     The reduced polynomial is keating_snaith(n, k) sum_p c_p |zeta|^p with
     the coefficients c_p of the production engine
     :func:`~cue_moments.coefficients.coeff_vector`, the ones every exact
-    moment uses.  It is multiplied by its transcendental prefactor
-    pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) in floating point.
+    moment uses.  So that its prefactor pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|)
+    cannot underflow before the product does, the power of two divides the
+    exact polynomial, and any power of two split off e^(-n|zeta|) to keep it
+    a normal float is applied last.  Scaling by a power of two commutes with
+    rounding, so the value equals the plain float product wherever that
+    prefactor is a normal float.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
@@ -255,11 +260,9 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     exact_z, series = Fraction(z), Fraction(0)
     for c in reversed(coeff_vector(k, n, k * n)):
         series = series * exact_z + c
-    reduced = keating_snaith(n, k) * series
-    prefactor = (
-        math.pi ** n
-        * math.factorial(n)
-        * 2.0 ** (-(n + 2 * k - 1) * n)
-        * math.exp(-n * z)
-    )
-    return prefactor * float(reduced)
+    scaled = float(keating_snaith(n, k) * series / 2 ** ((n + 2 * k - 1) * n))
+    # e^-x = 2^-j e^-(x - j ln 2), j > 0 only if e^-x < 2^-1022; the min keeps
+    # exp finite at huge x, where x - j ln 2 rounds badly and the value is 0.
+    x, ln2 = n * z, math.log(2)
+    j = max(0, math.ceil(x / ln2) - 1022)
+    return math.ldexp(math.pi ** n * math.factorial(n) * math.exp(min(j * ln2 - x, 0.0)) * scaled, -j)

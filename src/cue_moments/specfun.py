@@ -19,7 +19,6 @@ with the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
@@ -30,25 +29,10 @@ from .moments import keating_snaith
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
-class LaguerrePolynomial:
-    """Generalized Laguerre polynomial with exact rational coefficients.
+def laguerre(n: int, alpha: int) -> tuple[Fraction, ...]:
+    """Coefficients of the Laguerre polynomial of degree n and integer parameter alpha.
 
-    ``coeffs[j]`` is the coefficient of t^j and equals
-    binom(degree + alpha, degree - j) (-1)^j / j!.
-    """
-
-    degree: int
-    alpha: int
-    coeffs: tuple[Fraction, ...]
-
-    def __call__(self, t: Rational) -> Fraction:
-        return laguerre_eval(self, t)
-
-
-def laguerre(n: int, alpha: int) -> LaguerrePolynomial:
-    """Laguerre polynomial of degree n and integer parameter alpha.
-
+    Entry j is the coefficient of t^j, binom(n + alpha, n - j) (-1)^j / j!.
     Requires n >= 0 and n + alpha >= 0 so the binomial coefficients are
     well defined.
     """
@@ -56,18 +40,12 @@ def laguerre(n: int, alpha: int) -> LaguerrePolynomial:
         raise ValueError(f"degree must be non-negative, got {n}")
     if n + alpha < 0:
         raise ValueError(f"need n + alpha >= 0, got n={n}, alpha={alpha}")
-    coeffs = tuple(
-        Fraction((-1) ** j * comb(n + alpha, n - j), factorial(j)) for j in range(n + 1)
-    )
-    return LaguerrePolynomial(degree=n, alpha=alpha, coeffs=coeffs)
+    return tuple(Fraction((-1) ** j * comb(n + alpha, n - j), factorial(j)) for j in range(n + 1))
 
 
-def laguerre_eval(poly: LaguerrePolynomial, t: Rational) -> Fraction:
-    """Exact polynomial evaluation by Horner's rule."""
-    return _horner(poly.coeffs, Fraction(t))
-
-
-def _horner(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
+def laguerre_eval(coeffs: Sequence[Rational], t: Rational) -> Fraction:
+    """Exact value at t of the polynomial with t^j coefficient ``coeffs[j]``, by Horner's rule."""
+    t = Fraction(t)
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * t + c
@@ -102,8 +80,8 @@ def _det(matrix: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def wronskian_at(polys: Sequence[LaguerrePolynomial], t: Rational) -> Fraction:
-    """Wronskian determinant of the polynomials, evaluated exactly at t.
+def wronskian_at(polys: Sequence[Sequence[Fraction]], t: Rational) -> Fraction:
+    """Wronskian determinant of the coefficient sequences' polynomials, evaluated exactly at t.
 
     Row j holds the j-th derivatives, computed symbolically on the
     coefficient sequences, never by finite differences.
@@ -111,10 +89,10 @@ def wronskian_at(polys: Sequence[LaguerrePolynomial], t: Rational) -> Fraction:
     if not polys:
         raise ValueError("need at least one polynomial")
     t = Fraction(t)
-    coeff_rows: list[Sequence[Fraction]] = [p.coeffs for p in polys]
+    coeff_rows = polys
     matrix = []
     for _ in range(len(polys)):
-        matrix.append([_horner(c, t) for c in coeff_rows])
+        matrix.append([laguerre_eval(c, t) for c in coeff_rows])
         coeff_rows = [derivative_coeffs(c) for c in coeff_rows]
     return _det(matrix)
 

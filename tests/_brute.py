@@ -97,3 +97,12 @@ def keating_snaith_running_product(n: int, k: int) -> Fraction:
         numer *= factorial(j - 1) * factorial(j + 2 * k - 1)
         denom *= factorial(j + k - 1) ** 2
     return Fraction(numer, denom)
+
+
+def decimal_digits(i: int) -> str:
+    """Decimal digits of a non-negative integer, 1000 at a time, each chunk under any int-to-str limit."""
+    chunks = []
+    while i >= 10 ** 1000:
+        i, low = divmod(i, 10 ** 1000)
+        chunks.append(f"{low:01000d}")
+    return str(i) + "".join(reversed(chunks))

@@ -9,7 +9,9 @@ import pytest
 
 from cue_moments import oracles
 from cue_moments.cli import _decimal, build_parser, format_exact, main
-from cue_moments.moments import ExactScalar, keating_snaith
+from cue_moments.moments import ExactScalar, MomentOrder, keating_snaith
+
+from _brute import decimal_digits
 
 
 def run_cli(capsys, *argv):
@@ -25,19 +27,29 @@ class TestFormatting:
     def test_rational_serialization(self):
         assert format_exact(Fraction(3, 10)) == "3/10"
         assert format_exact(Fraction(5)) == "5/1"
-        assert format_exact(ExactScalar(Fraction(2), pi_exp=-1)) == "2/pi"
+        assert format_exact(ExactScalar(Fraction(2))) == "2/pi"
+
+    def test_exact_digits_leave_the_int_to_str_limit_alone(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the int-to-str digit limit must not be changed")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        q = keating_snaith(3000, 50)
+        want = f"{decimal_digits(q.numerator)}/{decimal_digits(q.denominator)}"
+        assert len(want) > 4300
+        assert format_exact(q) == want
 
     def test_decimal_beyond_float_range(self):
         assert _decimal(Fraction(15, 10) * 10 ** 400) == "1.5e+400"
         assert _decimal(Fraction(-10 ** 400)) == "-1e+400"
         assert _decimal(Fraction(2, 3) / 10 ** 330) == "6.66666666666667e-331"
         # 10^400 / pi = 3.183098861837906715...e399
-        assert _decimal(ExactScalar(Fraction(10 ** 400), pi_exp=-1)) == "3.18309886183791e+399"
+        assert _decimal(ExactScalar(Fraction(10 ** 400))) == "3.18309886183791e+399"
 
     def test_decimal_in_float_range_is_the_float_string(self):
         for q in (Fraction(1, 3), Fraction(10 ** 300, 7), Fraction(3, 10 ** 300), Fraction(0)):
             assert _decimal(q) == f"{float(q):.15g}"
-            assert _decimal(ExactScalar(q, pi_exp=-1)) == f"{float(q) / math.pi:.15g}"
+            assert _decimal(ExactScalar(q)) == f"{float(q) / math.pi:.15g}"
 
 
 class TestMomentCommand:
@@ -70,14 +82,8 @@ class TestMomentCommand:
 
     def test_exact_string_beyond_the_int_to_str_digit_limit(self, capsys):
         q = keating_snaith(3000, 50)
-        digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
-        if digit_limit:
-            sys.set_int_max_str_digits(0)
-        try:
-            want = f"{q.numerator}/{q.denominator}"
-        finally:
-            if digit_limit:
-                sys.set_int_max_str_digits(digit_limit)
+        digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        want = f"{decimal_digits(q.numerator)}/{decimal_digits(q.denominator)}"
         assert len(want) > 4300
         argv = ["moment", "--n", "3000", "--two-h", "0", "--k", "50"]
         code, out, err = run_cli(capsys, *argv)
@@ -89,7 +95,7 @@ class TestMomentCommand:
         code, out, err = run_cli(capsys, *argv, "--format", "csv")
         assert (code, err) == (0, "")
         assert out.splitlines()[1].split(",")[3] == want
-        # the limit is lifted only while formatting
+        # the limit is never changed
         if digit_limit:
             assert sys.get_int_max_str_digits() == digit_limit
 
@@ -115,6 +121,13 @@ class TestLimitCommand:
                 assert out == ""
                 assert err.startswith("error:") and "tol" in err and "finite" in err
 
+    def test_tol_must_be_positive_for_every_two_h(self, capsys):
+        for two_h in ("1", "2", "0"):
+            for tol in ("-1", "0"):
+                code, out, err = run_cli(capsys, "limit", "--two-h", two_h, "--k", "1", "--tol", tol)
+                assert (code, out) == (1, "")
+                assert err == f"error: tol must be a positive finite number, got {float(tol)}\n"
+
     def test_even_limit_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--two-h", "2", "--k", "1", "--tol", "1e-10")
         assert code == 0
@@ -136,6 +149,21 @@ class TestTableCommand:
         assert len(rows) == 9
         markers = [r for r in rows if r["exact"] == "inadmissible"]
         assert len(markers) == 3  # two_h = 3 with k = 1 for each n
+
+    def test_marks_exactly_the_orders_moment_order_rejects(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--n", "1", "--two-h", "0,1,2,3,4,5,6,7,8,9", "--k", "1,2,3,4", "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["result"]["rows"]
+        assert len(rows) == 40
+        for row in rows:
+            try:
+                MomentOrder(row["two_h"], row["k"])
+            except ValueError:
+                assert row["exact"] == "inadmissible"
+            else:
+                assert row["exact"] != "inadmissible"
 
     @pytest.mark.parametrize(
         "lists",

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +254,15 @@ class TestQuadrature:
             with pytest.raises(QuadratureError, match="error bound .* exceeds tol"):
                 quad_moment_integral(1, zeta, 1, tol)
 
+    def test_overflowing_powers_are_kept_out_of_the_bound(self):
+        # (1 + x^2)^(n+k) overflowed at the outer nodes, so the bound read nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError) as info:
+                quad_moment_integral(4, 150.0, 5, 1e-300)
+        bound = re.match(r"quadrature error bound (\S+) exceeds tol", str(info.value)).group(1)
+        assert math.isfinite(float(bound))
+
     def test_matches_closed_form_all_orders(self):
         # Includes (k, n, zeta) = (3, 2, 0), where an earlier rule stopped on an
         # accidental agreement and gave 0.224893.  At tol 1e-15 the bound may
@@ -266,6 +277,15 @@ class TestQuadrature:
                         assert abs(quad_moment_integral(k, zeta, n, 1e-15) - closed) <= 1e-15
                     except QuadratureError:
                         pass
+
+    def test_closed_form_does_not_underflow_before_its_value(self):
+        # Values from the exact rational times pi^n n! 2^-(n+2k-1)n e^-n|zeta| in
+        # 50-digit decimals.  The float prefactor alone is subnormal (5, 5, 140)
+        # or zero (10, 5, 150) at these cells.
+        assert closed_form_moment_integral(5, 140.0, 5) == pytest.approx(5.03238080339871e-276, rel=1e-14, abs=0)
+        assert closed_form_moment_integral(10, 150.0, 5) == pytest.approx(3.36949015462162e-274, rel=1e-12, abs=0)
+        # Here n|zeta| - j ln 2 rounds to -7.2e16, not to about 708; the value is still 0.
+        assert closed_form_moment_integral(1, 4.7612265610968e32, 1) == 0.0
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
