@@ -174,7 +174,10 @@ def _run_quad(args: argparse.Namespace) -> Output:
     diff = f"{abs(value - closed):.3g}"
     inputs = {"k": args.k, "zeta": args.zeta, "n": args.n, "tol": args.tol}
     result = {"integral": repr(value), "closed_form": repr(closed), "abs_diff": diff}
-    text = [f"quad k={args.k} zeta={args.zeta} n={args.n}: integral {value:.12g}",
+    # tol bounds the absolute error, so no digit of an integral within tol of 0 is certified.
+    shown = (f"{value:.3g} (|integral| <= tol {args.tol:g}: no digit certified)"
+             if abs(value) <= args.tol else f"{value:.12g}")
+    text = [f"quad k={args.k} zeta={args.zeta} n={args.n}: integral {shown}",
             f"closed form {closed:.12g}, |diff| {diff}"]
     return text, {"inputs": inputs, "result": result}, [dict(inputs, **result)]
 

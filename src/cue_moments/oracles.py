@@ -247,12 +247,13 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     The reduced polynomial is keating_snaith(n, k) sum_p c_p |zeta|^p with
     the coefficients c_p of the production engine
     :func:`~cue_moments.coefficients.coeff_vector`, the ones every exact
-    moment uses.  So that its prefactor pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|)
-    cannot underflow before the product does, the power of two divides the
-    exact polynomial, and any power of two split off e^(-n|zeta|) to keep it
-    a normal float is applied last.  Scaling by a power of two commutes with
-    rounding, so the value equals the plain float product wherever that
-    prefactor is a normal float.
+    moment uses.  So that neither the exact polynomial nor its prefactor
+    pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) can overflow or underflow before the
+    product does, the polynomial becomes a float only as a mantissa in
+    [1/2, 2), and its binary exponent, the power of two in the prefactor and
+    any power of two split off e^(-n|zeta|) to keep it a normal float are
+    applied last.  Scaling by a power of two commutes with rounding, so the
+    value equals the plain float product wherever every factor is normal.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
@@ -260,9 +261,12 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     exact_z, series = Fraction(z), Fraction(0)
     for c in reversed(coeff_vector(k, n, k * n)):
         series = series * exact_z + c
-    scaled = float(keating_snaith(n, k) * series / 2 ** ((n + 2 * k - 1) * n))
+    exact = keating_snaith(n, k) * series
+    e = exact.numerator.bit_length() - exact.denominator.bit_length()
+    mantissa = float(exact * Fraction(2) ** -e)
     # e^-x = 2^-j e^-(x - j ln 2), j > 0 only if e^-x < 2^-1022; the min keeps
     # exp finite at huge x, where x - j ln 2 rounds badly and the value is 0.
     x, ln2 = n * z, math.log(2)
     j = max(0, math.ceil(x / ln2) - 1022)
-    return math.ldexp(math.pi ** n * math.factorial(n) * math.exp(min(j * ln2 - x, 0.0)) * scaled, -j)
+    prefactor = math.pi ** n * math.factorial(n) * math.exp(min(j * ln2 - x, 0.0))
+    return math.ldexp(prefactor * mantissa, e - (n + 2 * k - 1) * n - j)

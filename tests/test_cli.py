@@ -245,6 +245,16 @@ class TestQuadCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "tol" in err
 
+    def test_integral_within_tol_of_zero_is_marked_uncertified(self, capsys):
+        # The closed form is 1.21e-169: the printed integral is quadrature noise.
+        code, out, err = run_cli(capsys, "quad", "--k", "2", "--zeta", "400", "--n", "1")
+        assert (code, err) == (0, "")
+        value = oracles.quad_moment_integral(2, 400.0, 1, 1e-8)
+        assert abs(value) <= 1e-8
+        assert out.splitlines()[0] == (
+            f"quad k=2 zeta=400.0 n=1: integral {value:.3g} (|integral| <= tol 1e-08: no digit certified)"
+        )
+
     def test_uncertified_request_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "quad", "--k", "1", "--zeta", "1e300", "--n", "1")
         assert (code, out) == (1, "")

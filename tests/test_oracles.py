@@ -287,6 +287,12 @@ class TestQuadrature:
         # Here n|zeta| - j ln 2 rounds to -7.2e16, not to about 708; the value is still 0.
         assert closed_form_moment_integral(1, 4.7612265610968e32, 1) == 0.0
 
+    def test_closed_form_does_not_overflow_before_its_value(self):
+        # The exact polynomial alone exceeds the float range here; the value
+        # underflows to 0.
+        assert closed_form_moment_integral(2, 1e200, 1) == 0.0
+        assert closed_form_moment_integral(1, 1e200, 2) == 0.0
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             quad_moment_integral(1, float("nan"), 1, 1e-8)

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from cue_moments.partitions import Partition, hook_product, partitions_of, pochhammer, transpose
+from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
 
 from _brute import ascending_partitions, box_product, hook_product_factorial_form, partition_counts
 
@@ -12,51 +12,24 @@ def all_partitions(p):
     return partitions_of(p, max(p, 1))
 
 
-class TestPartitionType:
-    def test_valid_construction(self):
-        lam = Partition((4, 3, 1, 1))
-        assert lam.weight == 9
-        assert lam.length == 4
-        assert list(lam) == [4, 3, 1, 1]
-
-    def test_empty_partition(self):
-        lam = Partition(())
-        assert lam.weight == 0
-        assert lam.length == 0
-
-    def test_rejects_nonpositive_parts(self):
-        with pytest.raises(ValueError):
-            Partition((3, 0))
-        with pytest.raises(ValueError):
-            Partition((-1,))
-
-    def test_rejects_increasing_parts(self):
-        with pytest.raises(ValueError):
-            Partition((1, 2))
-
-    def test_hashable_and_equal(self):
-        assert Partition((2, 1)) == Partition((2, 1))
-        assert len({Partition((2, 1)), Partition((2, 1))}) == 1
-
-
 class TestEnumeration:
     def test_examples(self):
-        assert [p.parts for p in partitions_of(4, 2)] == [(4,), (3, 1), (2, 2)]
-        assert [p.parts for p in partitions_of(0, 3)] == [()]
-        assert [p.parts for p in partitions_of(2, 1)] == [(2,)]
+        assert partitions_of(4, 2) == ((4,), (3, 1), (2, 2))
+        assert partitions_of(0, 3) == ((),)
+        assert partitions_of(2, 1) == ((2,),)
 
     def test_reverse_lexicographic_order(self):
         for p in range(9):
-            seqs = [lam.parts for lam in all_partitions(p)]
+            seqs = list(all_partitions(p))
             assert seqs == sorted(seqs, reverse=True)
 
     def test_matches_independent_enumeration(self):
         for p in range(11):
-            mine = {lam.parts for lam in all_partitions(p)}
+            mine = set(all_partitions(p))
             brute = set(ascending_partitions(p))
             assert mine == brute
             for max_parts in range(1, p + 2):
-                restricted = {lam.parts for lam in partitions_of(p, max_parts)}
+                restricted = set(partitions_of(p, max_parts))
                 assert restricted == {t for t in brute if len(t) <= max_parts}
 
     def test_counts_match_classical_recurrence(self):
@@ -73,43 +46,43 @@ class TestEnumeration:
 
 class TestTranspose:
     def test_examples(self):
-        assert transpose(Partition((4, 3, 1, 1))) == Partition((4, 2, 2, 1))
-        assert transpose(Partition((5,))) == Partition((1,) * 5)
-        assert transpose(Partition(())) == Partition(())
+        assert transpose((4, 3, 1, 1)) == (4, 2, 2, 1)
+        assert transpose((5,)) == (1,) * 5
+        assert transpose(()) == ()
 
     def test_involution_and_shape(self):
         for p in range(11):
             for lam in all_partitions(p):
                 lam_t = transpose(lam)
                 assert transpose(lam_t) == lam
-                assert lam_t.weight == lam.weight
-                if lam.parts:
-                    assert lam_t.length == lam.parts[0]
+                assert sum(lam_t) == sum(lam)
+                if lam:
+                    assert len(lam_t) == lam[0]
 
 
 class TestHookProduct:
     def test_examples(self):
-        assert hook_product(Partition((4, 3, 1, 1))) == 1680
-        assert hook_product(Partition(())) == 1
+        assert hook_product((4, 3, 1, 1)) == 1680
+        assert hook_product(()) == 1
         for p in range(1, 9):
-            assert hook_product(Partition((p,))) == factorial(p)
+            assert hook_product((p,)) == factorial(p)
 
     def test_matches_factorial_form(self):
         for p in range(11):
             for lam in all_partitions(p):
-                assert hook_product(lam) == hook_product_factorial_form(lam.parts)
+                assert hook_product(lam) == hook_product_factorial_form(lam)
 
 
 class TestPochhammer:
     def test_examples(self):
         for p in range(1, 9):
-            assert pochhammer(1, Partition((p,))) == factorial(p)
-        assert pochhammer(Fraction(5, 7), Partition(())) == 1
+            assert pochhammer(1, (p,)) == factorial(p)
+        assert pochhammer(Fraction(5, 7), ()) == 1
         for n in (1, 4, 19):
-            assert pochhammer(-n, Partition((1,))) == -n
+            assert pochhammer(-n, (1,)) == -n
 
     def test_fraction_base_stays_exact(self):
-        value = pochhammer(Fraction(1, 2), Partition((2, 1)))
+        value = pochhammer(Fraction(1, 2), (2, 1))
         # boxes (1,1), (1,2), (2,1): (1/2)(3/2)(-1/2)
         assert value == Fraction(-3, 8)
 
@@ -117,13 +90,13 @@ class TestPochhammer:
         for p in range(9):
             for lam in all_partitions(p):
                 for b in (-2, 3, Fraction(1, 2)):
-                    assert pochhammer(b, lam) == box_product(b, lam.parts)
+                    assert pochhammer(b, lam) == box_product(b, lam)
 
     def test_vanishing_iff_too_many_parts(self):
         for p in range(11):
             for lam in all_partitions(p):
                 for k in range(1, 5):
-                    if lam.length > k:
+                    if len(lam) > k:
                         assert pochhammer(k, lam) == 0
                     else:
                         assert pochhammer(k, lam) != 0
