@@ -5,15 +5,17 @@ The moment of order (two_h, k) at matrix size n is the CUE average of
 polynomial at angle 0.  Even two_h gives an exact rational; odd two_h
 gives an exact rational multiple of 1/pi, carried symbolically by
 :class:`ExactScalar`.  The large-n limits (after dividing by n^(k^2 + two_h))
-are exact rationals for even two_h and controlled truncations for odd two_h.
+are exact rationals for even two_h and truncated series for odd two_h.
 
-Every moment is one recombination: a prefactor depending on two_h times
-the zeroth moment times sum_p w_p c_p, where c_p are the coefficients of
-the reduced moment polynomial from the determinant engine
+Every value is one recombination, :func:`_recombine` over a prefix of an
+engine vector: a prefactor depending on two_h times the zeroth moment
+times sum_p w_p c_p, where c_p are the coefficients of the reduced moment
+polynomial from the determinant engine
 :func:`~cue_moments.coefficients.coeff_vector` and the weight w_p depends
 only on the parity of two_h and on n.  The limit is the same sum at n = 1
 over :func:`~cue_moments.coefficients.limit_coeff_vector`, times
-:func:`limit_moment_zero`.
+:func:`limit_moment_zero`; for odd two_h a stopping rule picks where the
+prefix ends, and that rule is all that is specific to the limit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import count
 from math import comb, factorial, perm
 
 from .coefficients import coeff_vector, limit_coeff_vector
@@ -70,7 +71,10 @@ class ExactScalar:
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Truncated limit evaluation with a certified truncation bound."""
+    """Truncated half-integer limit; ``tail_bound`` is the prefactor times twice the last term kept.
+
+    That bounds the dropped tail only if the terms keep halving: assumed, not proven.
+    """
 
     value: float
     tail_bound: float
@@ -157,20 +161,13 @@ def limit_moment_integer_h(h: int, k: int) -> Fraction:
     return _recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_vector(k, 2 * h))
 
 
-_LIMIT_MAX_TERMS = 10_000
-
-
 def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
-    """Scaled limit of the half-integer moment, truncated to tolerance ``tol``.
+    """Scaled limit of the half-integer moment: the recombination at n = 1 up to c_P.
 
-    The recombination at n = 1 runs over every p; past p = two_h its terms
-    t_p = w_p c_p = two_h! (p - two_h - 1)! c_p are positive and decay
-    super-exponentially.  Summation stops at the first p >= two_h + 2k + 4
-    where t_p < tol/2 and the terms have started at least halving; a
-    geometric majorant then bounds the dropped tail by 2 t_p.  The retained
-    terms are summed exactly, so the value carries no roundoff beyond the
-    final conversion to float.  Whenever the sum runs past the end of the
-    limiting coefficient vector, it is recomputed 1.5 times as long.
+    Past p = two_h the inner terms t_p = w_p c_p are positive.  P is the
+    first p >= two_h + 2k + 4 with t_p < tol/2 and 2 t_p < t_(p-1), so
+    ``tol`` is compared with inner terms, before the prefactor.  When p runs
+    past the coefficient vector, it is recomputed 1.5 times as long.
     """
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
@@ -178,23 +175,17 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
-    settle_floor = two_h + 2 * k + 4
-    coeffs = limit_coeff_vector(k, settle_floor)
     half_tol = Fraction(tol) / 2
-    total = previous = Fraction(0)
-    for p in count():
-        if p >= len(coeffs):
+    p = two_h + 2 * k + 4
+    coeffs = limit_coeff_vector(k, p)
+    previous, term = (_weight(q, two_h, 1) * coeffs[q] for q in (p - 1, p))
+    while not (term < half_tol and 2 * term < previous):
+        p += 1
+        if p == len(coeffs):
             coeffs = limit_coeff_vector(k, p + p // 2)
-        term = _weight(p, two_h, 1) * coeffs[p]
-        total += term
-        # Past the settle floor, previous is a tail term too.
-        if p >= settle_floor and term < half_tol and 2 * term < previous:
-            break
-        if p - two_h > _LIMIT_MAX_TERMS:
-            raise RuntimeError(f"tolerance {tol} not reached within {_LIMIT_MAX_TERMS} terms")
-        previous = term
+        previous, term = term, _weight(p, two_h, 1) * coeffs[p]
 
-    prefactor = _prefactor(two_h, limit_moment_zero(k))
-    value = float(prefactor * total) / math.pi
-    tail_bound = float(abs(prefactor) * 2 * term) / math.pi
+    zeroth = limit_moment_zero(k)
+    value = ExactScalar(_recombine(two_h, 1, zeroth, coeffs[:p + 1])).to_float()
+    tail_bound = ExactScalar(abs(_prefactor(two_h, zeroth)) * 2 * term).to_float()
     return LimitResult(value=value, tail_bound=tail_bound, terms_used=p - two_h)

@@ -170,6 +170,16 @@ class TestLimits:
         assert result.value > 0
         assert result.tail_bound <= 1e-10
 
+    def test_half_limit_error_within_tail_bound_within_tol(self):
+        # Reference: the same recombination over twice the terms the limit used.
+        cells = [(two_h, k, tol) for k in range(1, 6) for two_h in range(1, 2 * k + 1, 2)
+                 for tol in (1e-4, 1e-8, 1e-12)]
+        for two_h, k, tol in cells + [(11, 6, 1e-12)]:
+            result = limit_moment_half_h(two_h, k, tol)
+            coeffs = limit_coeff_vector(k, 2 * (two_h + result.terms_used))
+            reference = ExactScalar(_recombine(two_h, 1, limit_moment_zero(k), coeffs)).to_float()
+            assert abs(result.value - reference) <= result.tail_bound <= tol, (two_h, k, tol)
+
     def test_half_limit_rejects(self):
         with pytest.raises(ValueError):
             limit_moment_half_h(2, 1, 1e-8)
