@@ -15,11 +15,13 @@ import os
 import re
 import sys
 import tempfile
-from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
 from .moments import (
+    DECIMAL_CONTEXT,
+    DECIMAL_PI,
     ExactScalar,
     MomentOrder,
     keating_snaith,
@@ -46,43 +48,25 @@ def format_exact(value: Fraction | ExactScalar) -> str:
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
-def _to_float(value: Fraction | ExactScalar) -> float:
-    return value.to_float() if isinstance(value, ExactScalar) else float(value)
-
-
-_PI = Decimal("3.14159265358979323846264338327950288419716939937511")
-
-
 def _decimal(value: float | Fraction | ExactScalar) -> str:
-    """15 significant digits, as ``f"{x:.15g}"`` prints a float.
+    """15 significant digits, laid out as ``f"{x:.15g}"`` lays out a float.
 
-    An exact value outside the range of normal floats is rounded from its
-    exact rational, so it neither overflows nor loses digits to underflow.
+    An exact value is rounded once, half-even, from its exact rational (over
+    a 50-digit pi for q/pi), so no digit depends on the range of floats.
     """
-    if not isinstance(value, float):
-        try:
-            x = _to_float(value)
-        except OverflowError:
-            x = math.inf
-        q = value.q if isinstance(value, ExactScalar) else value
-        if q != 0 and not sys.float_info.min <= abs(x) < math.inf:
-            return _decimal_exact(value)
-        value = x
-    return f"{value:.15g}"
-
-
-def _decimal_exact(value: Fraction | ExactScalar) -> str:
-    q, over_pi = (value.q, True) if isinstance(value, ExactScalar) else (value, False)
-    with localcontext() as ctx:
-        ctx.Emax, ctx.Emin, ctx.prec = MAX_EMAX, MIN_EMIN, 40
+    if isinstance(value, float):
+        return f"{value:.15g}"
+    q = value.q if isinstance(value, ExactScalar) else value
+    with localcontext(DECIMAL_CONTEXT) as ctx:
         d = Decimal(q.numerator) / q.denominator
-        if over_pi:
-            d /= _PI
+        if isinstance(value, ExactScalar):
+            d /= DECIMAL_PI
         ctx.prec = 15
-        sign, digits, exp = (+d).normalize().as_tuple()
-    text = "".join(map(str, digits))
-    mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
-    return f"{'-' if sign else ''}{mantissa}e{exp + len(text) - 1:+03d}"
+        d = (+d).normalize()
+        exponent = d.adjusted()
+        if -4 <= exponent < 15:
+            return f"{d:f}"
+        return f"{d.scaleb(-exponent):f}e{exponent:+03d}"
 
 
 def _exact_moment(n: int, two_h: int, k: int) -> Fraction | ExactScalar:
@@ -151,10 +135,15 @@ def _run_table(args: argparse.Namespace) -> Output:
 
 
 def _run_mc(args: argparse.Namespace) -> Output:
-    est = mc_moment(args.n, args.two_h, args.k, args.trials, args.seed)
     exact = _exact_moment(args.n, args.two_h, args.k)
+    try:
+        exact_float = exact.to_float() if isinstance(exact, ExactScalar) else float(exact)
+    except OverflowError:
+        raise ArithmeticError(
+            f"exact moment {_decimal(exact)} is beyond the float range: mc cannot estimate it") from None
+    est = mc_moment(args.n, args.two_h, args.k, args.trials, args.seed)
     exact_str = format_exact(exact)
-    z = (est.mean - _to_float(exact)) / est.stderr if est.stderr > 0 else 0.0
+    z = (est.mean - exact_float) / est.stderr if est.stderr > 0 else 0.0
     inputs = {"n": args.n, "two_h": args.two_h, "k": args.k, "trials": args.trials, "seed": args.seed}
     result = {"mean": repr(est.mean), "stderr": repr(est.stderr), "trials": est.trials,
               "seed": est.seed, "redraws": est.redraws, "z_score": _decimal(z)}

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -50,6 +50,12 @@ class MomentOrder:
             raise ValueError(
                 f"inadmissible order: need 2k + 1 > two_h, got two_h={self.two_h}, k={self.k}"
             )
+
+
+# Where an exact value leaves exact arithmetic: 40 digits and exponents so wide
+# that nothing overflows or underflows before the one rounding to a decimal or float.
+DECIMAL_CONTEXT = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937511")
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 
 from .coefficients import coeff_vector
-from .moments import MomentOrder, keating_snaith
+from .moments import DECIMAL_CONTEXT, DECIMAL_PI, MomentOrder, keating_snaith
 
 # Trials drawn, reduced and folded into the running mean and variance at a
 # time: _MC_BATCH, or fewer above n = 512 so that a batch of about 2n doubles
@@ -135,7 +136,8 @@ def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
     of the Philox stream keyed by ``seed`` (an integer in [0, 2^64)), so the
     estimate is bit-identical for fixed (seed, trials).  Non-finite samples
     are left out of the mean and standard error and counted in ``redraws``;
-    fewer than two finite samples raise ArithmeticError.
+    fewer than two finite samples, or a mean or standard error that
+    overflows the float range, raise ArithmeticError.
     """
     order = MomentOrder(two_h, k)
     if n < 1:
@@ -151,13 +153,15 @@ def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
         abs_v, abs_vp = _szego_at_one(_draw_verblunsky(n, seed, start, min(batch, trials - start)))
         with np.errstate(over="ignore", invalid="ignore"):
             values = abs_v ** a * abs_vp ** two_h
-        values = values[np.isfinite(values)]
-        if values.size:
-            stats = _fold(stats, values)
+            values = values[np.isfinite(values)]
+            if values.size:
+                stats = _fold(stats, values)
     count, mean, m2 = stats
     if count < 2:
         raise ArithmeticError(f"only {count} of {trials} Monte Carlo samples are finite")
     stderr = math.sqrt(m2 / (count - 1) / count)
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ArithmeticError(f"Monte Carlo mean {mean:.3g} or stderr {stderr:.3g} overflows the float range")
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, redraws=trials - count)
 
 
@@ -247,13 +251,9 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     The reduced polynomial is keating_snaith(n, k) sum_p c_p |zeta|^p with
     the coefficients c_p of the production engine
     :func:`~cue_moments.coefficients.coeff_vector`, the ones every exact
-    moment uses.  So that neither the exact polynomial nor its prefactor
-    pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) can overflow or underflow before the
-    product does, the polynomial becomes a float only as a mantissa in
-    [1/2, 2), and its binary exponent, the power of two in the prefactor and
-    any power of two split off e^(-n|zeta|) to keep it a normal float are
-    applied last.  Scaling by a power of two commutes with rounding, so the
-    value equals the plain float product wherever every factor is normal.
+    moment uses.  Its product with pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) is
+    formed in a 40-digit decimal context where nothing overflows or
+    underflows, and rounded to a float once.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
@@ -262,11 +262,6 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     for c in reversed(coeff_vector(k, n, k * n)):
         series = series * exact_z + c
     exact = keating_snaith(n, k) * series
-    e = exact.numerator.bit_length() - exact.denominator.bit_length()
-    mantissa = float(exact * Fraction(2) ** -e)
-    # e^-x = 2^-j e^-(x - j ln 2), j > 0 only if e^-x < 2^-1022; the min keeps
-    # exp finite at huge x, where x - j ln 2 rounds badly and the value is 0.
-    x, ln2 = n * z, math.log(2)
-    j = max(0, math.ceil(x / ln2) - 1022)
-    prefactor = math.pi ** n * math.factorial(n) * math.exp(min(j * ln2 - x, 0.0))
-    return math.ldexp(prefactor * mantissa, e - (n + 2 * k - 1) * n - j)
+    with localcontext(DECIMAL_CONTEXT):
+        return float(Decimal(exact.numerator) / exact.denominator * DECIMAL_PI ** n * math.factorial(n)
+                     * (-n * Decimal(z)).exp() / Decimal(2) ** ((n + 2 * k - 1) * n))

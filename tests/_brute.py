@@ -106,3 +106,43 @@ def decimal_digits(i: int) -> str:
         i, low = divmod(i, 10 ** 1000)
         chunks.append(f"{low:01000d}")
     return str(i) + "".join(reversed(chunks))
+
+
+# pi to 59 decimal places, truncated: pi lies in [_PI_60, _PI_60 + 10^-59) / 10^59.
+_PI_60 = 314159265358979323846264338327950288419716939937510582097494
+_PI_60_SCALE = 10 ** 59
+
+
+def _round_15(x: Fraction) -> tuple[int, int]:
+    """(m, e) with 10^14 <= |m| < 10^15 and m 10^(e - 14) = x rounded half-even to 15 significant digits."""
+    e = (abs(x.numerator).bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    while abs(x) >= Fraction(10) ** (e + 1):
+        e += 1
+    while abs(x) < Fraction(10) ** e:
+        e -= 1
+    m = round(x / Fraction(10) ** (e - 14))
+    if abs(m) == 10 ** 15:
+        m, e = m // 10, e + 1
+    return m, e
+
+
+def decimal_15g(q: Fraction, over_pi: bool = False) -> str:
+    """q (or q/pi) rounded once to 15 significant digits, half-even, laid out like f"{x:.15g}".
+
+    q/pi is bracketed by the 60-digit pi above; both ends must round alike.
+    """
+    if q == 0:
+        return "0"
+    if over_pi:
+        low, high = (_round_15(q * _PI_60_SCALE / p) for p in (_PI_60 + 1, _PI_60))
+        assert low == high, f"60 digits of pi cannot decide the 15-digit rounding of {q}/pi"
+        m, e = low
+    else:
+        m, e = _round_15(q)
+    sign, digits = "-" if m < 0 else "", str(abs(m)).rstrip("0")
+    if e < -4 or e >= 15:
+        return f"{sign}{digits[0]}{'.' if digits[1:] else ''}{digits[1:]}e{'-' if e < 0 else '+'}{abs(e):02d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    whole, frac = digits[: e + 1].ljust(e + 1, "0"), digits[e + 1:]
+    return f"{sign}{whole}{'.' if frac else ''}{frac}"

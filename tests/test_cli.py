@@ -1,17 +1,17 @@
 import csv
 import io
 import json
-import math
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from cue_moments import oracles
-from cue_moments.cli import _decimal, build_parser, format_exact, main
+from cue_moments.cli import _decimal, _exact_moment, build_parser, format_exact, main
 from cue_moments.moments import ExactScalar, MomentOrder, keating_snaith
 
-from _brute import decimal_digits
+from _brute import decimal_15g, decimal_digits
 
 
 def run_cli(capsys, *argv):
@@ -46,10 +46,20 @@ class TestFormatting:
         # 10^400 / pi = 3.183098861837906715...e399
         assert _decimal(ExactScalar(Fraction(10 ** 400))) == "3.18309886183791e+399"
 
-    def test_decimal_in_float_range_is_the_float_string(self):
+    def test_decimal_is_the_exact_value_rounded_once(self):
         for q in (Fraction(1, 3), Fraction(10 ** 300, 7), Fraction(3, 10 ** 300), Fraction(0)):
-            assert _decimal(q) == f"{float(q):.15g}"
-            assert _decimal(ExactScalar(q)) == f"{float(q) / math.pi:.15g}"
+            assert _decimal(q) == decimal_15g(q)
+            assert _decimal(ExactScalar(q)) == decimal_15g(q, over_pi=True)
+        for k in range(1, 5):
+            for two_h, n in product(range(2 * k + 1), range(1, 13)):
+                exact = _exact_moment(n, two_h, k)
+                over_pi = isinstance(exact, ExactScalar)
+                assert _decimal(exact) == decimal_15g(exact.q if over_pi else exact, over_pi), (n, two_h, k)
+        # A float detour rounds the first four twice; the last is an exact tie, kept even.
+        for cell, shown in [((9, 5, 3), "6060611.33734839"), ((12, 1, 2), "4310.69919244354"),
+                            ((4, 7, 4), "75728.6291735738"), ((19, 8, 4), "4.86214584532719e+16"),
+                            ((7, 8, 4), "651389684.257812")]:
+            assert _decimal(_exact_moment(*cell)) == shown, cell
 
 
 class TestMomentCommand:
@@ -212,6 +222,15 @@ class TestMCCommand:
         assert code == 1
         assert out == ""
         assert err == "error: Unable to allocate 29.1 TiB for an array with shape (2, 2000000000000)\n"
+
+    def test_exact_value_beyond_float_range_is_an_error_before_sampling(self, capsys, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("mc must not sample a moment it cannot compare")
+        monkeypatch.setattr(oracles, "_draw_verblunsky", no_sampling)
+        code, out, err = run_cli(capsys, "mc", "--n", "600", "--two-h", "2", "--k", "30", "--trials", "3495")
+        assert code == 1
+        assert out == ""
+        assert err == "error: exact moment 4.33224890205212e+1235 is beyond the float range: mc cannot estimate it\n"
 
     def test_negative_seed_is_an_error(self, capsys):
         code, out, err = run_cli(

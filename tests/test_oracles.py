@@ -1,12 +1,15 @@
 import math
 import re
 import warnings
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from _haar import haar_v_values
 from cue_moments import oracles
+from cue_moments.coefficients import coeff_vector
 from cue_moments.moments import keating_snaith, moment_half_h, moment_integer_h
 from cue_moments.oracles import (
     MCEstimate,
@@ -39,6 +42,23 @@ def assert_within_sigma(n, two_h, k, trials=200_000):
     est = mc_moment(n, two_h, k, trials, RETRY_SEED)
     assert abs(est.mean - exact) <= 4 * est.stderr
     return est
+
+
+PI_100 = Decimal(
+    "3.141592653589793238462643383279502884197169399375105820974944592307816406286208998628034825342117068"
+)
+
+
+def closed_form_nearest_float(k, zeta, n):
+    """The float nearest the closed-form integral, from an 80-digit decimal evaluation."""
+    z = abs(zeta)
+    exact = keating_snaith(n, k) * sum(
+        (c * Fraction(z) ** p for p, c in enumerate(coeff_vector(k, n, k * n))), Fraction(0)
+    )
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 80, MAX_EMAX, MIN_EMIN
+        return float(Decimal(exact.numerator) / exact.denominator * PI_100 ** n * math.factorial(n)
+                     * (-n * Decimal(z)).exp() / Decimal(2) ** ((n + 2 * k - 1) * n))
 
 
 def polynomial_from_verblunsky(alpha):
@@ -168,6 +188,13 @@ class TestMCMoment:
         with pytest.raises(ArithmeticError):
             mc_moment(1, 1, 1, 10, 0)
 
+    def test_overflowing_samples_raise(self):
+        # |V|^58 |V'|^2 at n = 300 overflows in the sum of squares: the stderr is inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError, match="overflows the float range"):
+                mc_moment(300, 2, 30, 2000, 0)
+
     def test_batch_memory_is_capped_at_large_n(self, monkeypatch):
         # Each trial draws about 2n doubles: at n = 1000 a batch holds
         # 2^21 // 1000 = 2097 trials, not 4096, so one draw stays under 2^22 doubles.
@@ -278,12 +305,18 @@ class TestQuadrature:
                     except QuadratureError:
                         pass
 
+    def test_closed_form_is_the_nearest_float(self):
+        for k in range(1, 5):
+            for n in range(1, 6):
+                for zeta in (0.0, 1 / 3, 1.0, 3.5, 10.0, 150.0, 700.0, -2.0):
+                    assert closed_form_moment_integral(k, zeta, n) == closed_form_nearest_float(k, zeta, n)
+
     def test_closed_form_does_not_underflow_before_its_value(self):
         # Values from the exact rational times pi^n n! 2^-(n+2k-1)n e^-n|zeta| in
-        # 50-digit decimals.  The float prefactor alone is subnormal (5, 5, 140)
-        # or zero (10, 5, 150) at these cells.
+        # 50- and 80-digit decimals.  The float prefactor alone is subnormal
+        # (5, 5, 140) or zero (10, 5, 150) at these cells.
         assert closed_form_moment_integral(5, 140.0, 5) == pytest.approx(5.03238080339871e-276, rel=1e-14, abs=0)
-        assert closed_form_moment_integral(10, 150.0, 5) == pytest.approx(3.36949015462162e-274, rel=1e-12, abs=0)
+        assert closed_form_moment_integral(10, 150.0, 5) == closed_form_nearest_float(10, 150.0, 5)
         # Here n|zeta| - j ln 2 rounds to -7.2e16, not to about 708; the value is still 0.
         assert closed_form_moment_integral(1, 4.7612265610968e32, 1) == 0.0
 
