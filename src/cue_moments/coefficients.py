@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm, prod
 from operator import add, mul
 
 from .partitions import hook_product, partitions_of, pochhammer
@@ -108,6 +108,25 @@ def limit_coeff_vector(k: int, P: int) -> tuple[Fraction, ...]:
     return _hankel_ratio(f, k, P + 1)
 
 
+def _partition_sum(p: int, k: int, n: int | None) -> Fraction:
+    """Sum of [k] [-n] / ([2k] h^2) over partitions of p into at most k parts ([-n] left out if n is None).
+
+    One Fraction for the whole sum: each term is scaled by (p!)^2, so 1/h^2
+    becomes the integer f^2 = (p!/h)^2, and brought over the common multiple
+    prod_{i<=k} perm(2k - i + p, p) of the [2k] symbols (row i of [2k],
+    (2k - i + 1) ... (2k - i + lam_i), divides factor i).
+    """
+    fp = factorial(p)
+    common = prod(perm(2 * k - i + p, p) for i in range(1, k + 1))
+    total = 0
+    for lam in partitions_of(p, k):
+        numer = pochhammer(k, lam) if n is None else pochhammer(k, lam) * pochhammer(-n, lam)
+        if numer:
+            f = fp // hook_product(lam)
+            total += numer * f * f * (common // pochhammer(2 * k, lam))
+    return Fraction(total, fp * fp * common)
+
+
 @lru_cache(maxsize=None)
 def series_coeff(p: int, k: int, n: int) -> Fraction:
     """Finite-size coefficient as a partition sum: (-2)^p sum of [k][-n] / ([2k] h^2).
@@ -120,12 +139,7 @@ def series_coeff(p: int, k: int, n: int) -> Fraction:
         raise ValueError(f"need p >= 0, k >= 1, n >= 1, got {(p, k, n)}")
     if p > k * n:
         return Fraction(0)
-    total = Fraction(0)
-    for lam in partitions_of(p, k):
-        numer = pochhammer(k, lam) * pochhammer(-n, lam)
-        denom = pochhammer(2 * k, lam) * hook_product(lam) ** 2
-        total += Fraction(numer, denom)
-    return (-2) ** p * total
+    return (-2) ** p * _partition_sum(p, k, n)
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +147,7 @@ def series_coeff_limit(p: int, k: int) -> Fraction:
     """Limiting coefficient as a partition sum: 2^p sum of [k] / ([2k] h^2) over the same partitions."""
     if p < 0 or k < 1:
         raise ValueError(f"need p >= 0 and k >= 1, got {(p, k)}")
-    total = Fraction(0)
-    for lam in partitions_of(p, k):
-        numer = pochhammer(k, lam)
-        denom = pochhammer(2 * k, lam) * hook_product(lam) ** 2
-        total += Fraction(numer, denom)
-    return 2 ** p * total
+    return 2 ** p * _partition_sum(p, k, None)
 
 
 def series_coeff_closed(p: int, k: int) -> Fraction:
@@ -190,13 +199,20 @@ def binomial_residual(two_h: int, k: int, n: int) -> Fraction:
 
 
 def hook_content_sum(p: int, k: int) -> Fraction:
-    """Brute-force sum of [k] / h^2 over all partitions of p; equals k^p / p!."""
+    """Brute-force sum of [k] / h^2 over all partitions of p; equals k^p / p!.
+
+    Summed as integers, sum of [k] f^2 with f = p!/h, over (p!)^2.
+    """
     if p < 0 or k < 1:
         raise ValueError(f"need p >= 0 and k >= 1, got {(p, k)}")
-    total = Fraction(0)
+    fp = factorial(p)
+    total = 0
     for lam in partitions_of(p, max(p, 1)):
-        total += Fraction(pochhammer(k, lam), hook_product(lam) ** 2)
-    return total
+        content = pochhammer(k, lam)
+        if content:
+            f = fp // hook_product(lam)
+            total += content * f * f
+    return Fraction(total, fp * fp)
 
 
 def alternating_binomial_sum(p: int, n: int) -> int:

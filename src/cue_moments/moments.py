@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -68,7 +68,15 @@ class ExactScalar:
         object.__setattr__(self, "q", Fraction(self.q))
 
     def to_float(self) -> float:
-        return float(self.q) / math.pi
+        """The float nearest q/pi, formed in ``DECIMAL_CONTEXT`` and rounded to a float once.
+
+        Raises OverflowError when that float would be infinite.
+        """
+        with localcontext(DECIMAL_CONTEXT):
+            value = float(Decimal(self.q.numerator) / self.q.denominator / DECIMAL_PI)
+        if math.isinf(value):
+            raise OverflowError("q/pi is beyond the float range")
+        return value
 
     def __str__(self) -> str:
         num, den = Decimal(self.q.numerator), self.q.denominator

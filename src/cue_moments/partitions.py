@@ -3,12 +3,20 @@
 A partition is a plain tuple of positive ints, largest part first; ``()``
 is the empty partition.  Everything here is exact integer or rational
 arithmetic, and all box products over the empty Ferrers diagram are 1.
+
+The box products are taken a row at a time, never a box at a time: the
+hook product from the row lengths shifted to distinct integers (the
+Frobenius factorial form), the Pochhammer symbol as one rising factorial
+per row.  Either is a few ``math`` calls per row on Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, starmap
+from math import factorial, perm, prod
+from operator import sub
 
 Partition = tuple[int, ...]
 
@@ -49,34 +57,45 @@ def transpose(lam: Partition) -> Partition:
     every part of size at least j.
     """
     width = lam[0] if lam else 0
-    # A list, not a generator: tuple(generator) starts from a 10-slot tuple
-    # and shrinks it, so freed transposes piled up on CPython's per-size tuple
-    # free lists (1.5 MB after verify, as hook_product makes one per call).
-    return tuple([sum(1 for part in lam if part >= j) for j in range(1, width + 1)])
+    return tuple(sum(1 for part in lam if part >= j) for j in range(1, width + 1))
 
 
 def hook_product(lam: Partition) -> int:
     """Product of all hook lengths of the Ferrers diagram.
 
     The hook length of a box is arm + leg + 1, where the arm counts boxes
-    strictly to the right and the leg counts boxes strictly below.
+    strictly to the right and the leg counts boxes strictly below.  With
+    l_i = lam_i + len(lam) - i, which strictly decrease, the product is
+    prod_i l_i! / prod_{i<j} (l_i - l_j).
     """
-    cols = transpose(lam)
-    product = 1
-    for i, row in enumerate(lam, start=1):
-        for j in range(1, row + 1):
-            product *= (row - j) + (cols[j - 1] - i) + 1
-    return product
+    ell = len(lam)
+    shifted = [part + ell - i for i, part in enumerate(lam, start=1)]
+    return prod(map(factorial, shifted)) // prod(starmap(sub, combinations(shifted, 2)))
 
 
 def pochhammer(b: int | Fraction, lam: Partition) -> int | Fraction:
     """Generalized Pochhammer symbol: the product of b + j - i over all boxes.
 
-    Box (i, j) means row i, column j, both 1-based.  The empty partition
-    gives 1.  The result is an int for int ``b`` and a Fraction otherwise.
+    Box (i, j) means row i, column j, both 1-based, so row i contributes
+    the rising factorial (b - i + 1) ... (b - i + lam_i).  For int ``b``
+    that is perm(b - i + lam_i, lam_i) when its factors are positive,
+    (-1)^lam_i perm(i - 1 - b, lam_i) when they are negative, and 0 when
+    the row crosses zero.  For b = u/v it is the integer product of
+    u + (j - i) v over the boxes, divided once by v^|lam|.  The empty
+    partition gives 1.  The result is an int for int ``b`` and a Fraction
+    otherwise.
     """
-    result: int | Fraction = 1
-    for i, row in enumerate(lam, start=1):
-        for j in range(1, row + 1):
-            result *= b + j - i
-    return result
+    if isinstance(b, int):
+        result = 1
+        for i, row in enumerate(lam, start=1):
+            if b >= i:
+                result *= perm(b - i + row, row)
+            elif b - i + row < 0:
+                result *= (-1) ** row * perm(i - 1 - b, row)
+            else:
+                return 0
+        return result
+    b = Fraction(b)
+    u, v = b.numerator, b.denominator
+    numer = prod(prod(range(u + (1 - i) * v, u + (row - i) * v + 1, v)) for i, row in enumerate(lam, start=1))
+    return Fraction(numer, v ** sum(lam))

@@ -2,7 +2,11 @@
 
 Deliberately different algorithms from the package internals: ascending
 composition enumeration instead of descending recursion, pentagonal-number
-counting, and the factorial form of the hook product.
+counting, box-by-box hook and Pochhammer products where the package works
+a row at a time, and coefficient sums that add one Fraction per partition
+where the package adds integers over one common denominator.  The
+factorial form of the hook product is kept beside the box-by-box one,
+written independently of the package's.
 """
 
 from __future__ import annotations
@@ -68,6 +72,16 @@ def hook_product_factorial_form(parts: tuple[int, ...]) -> int:
     return numer // denom
 
 
+def hook_product_boxes(parts: tuple[int, ...]) -> int:
+    """Hook product box by box: arm + leg + 1, the leg read from the column lengths."""
+    cols = [sum(1 for part in parts if part >= j) for j in range(1, (parts[0] if parts else 0) + 1)]
+    product = 1
+    for i, part in enumerate(parts, start=1):
+        for j in range(1, part + 1):
+            product *= (part - j) + (cols[j - 1] - i) + 1
+    return product
+
+
 def box_product(b, parts: tuple[int, ...]):
     """Pochhammer product written directly over diagram boxes."""
     result = 1
@@ -75,6 +89,27 @@ def box_product(b, parts: tuple[int, ...]):
         for j in range(1, part + 1):
             result = result * (b + j - i)
     return result
+
+
+def series_coeff_terms(p: int, k: int, n: int | None) -> Fraction:
+    """(-2)^p (2^p without n) times the sum of [k] [-n] / ([2k] h^2), one Fraction per partition.
+
+    The partitions of p into at most k parts come from ``ascending_partitions``;
+    n = None leaves out [-n], giving the limiting coefficient.
+    """
+    total = Fraction(0)
+    for parts in ascending_partitions(p):
+        if len(parts) > k:
+            continue
+        numer = box_product(k, parts) * (1 if n is None else box_product(-n, parts))
+        total += Fraction(numer, box_product(2 * k, parts) * hook_product_boxes(parts) ** 2)
+    return (2 if n is None else -2) ** p * total
+
+
+def hook_content_terms(p: int, k: int) -> Fraction:
+    """Sum of [k] / h^2 over every partition of p, one Fraction per partition."""
+    return sum((Fraction(box_product(k, parts), hook_product_boxes(parts) ** 2) for parts in ascending_partitions(p)),
+               Fraction(0))
 
 
 def lagrange_interpolate(points: list[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:
@@ -111,6 +146,13 @@ def decimal_digits(i: int) -> str:
 # pi to 59 decimal places, truncated: pi lies in [_PI_60, _PI_60 + 10^-59) / 10^59.
 _PI_60 = 314159265358979323846264338327950288419716939937510582097494
 _PI_60_SCALE = 10 ** 59
+
+
+def nearest_float_over_pi(q: Fraction) -> float:
+    """The float nearest q/pi: float(Fraction) rounds once, at both ends of the 60-digit bracket of pi."""
+    low, high = (float(q * _PI_60_SCALE / p) for p in (_PI_60 + 1, _PI_60))
+    assert low == high, f"60 digits of pi cannot decide the float nearest {q}/pi"
+    return low
 
 
 def _round_15(x: Fraction) -> tuple[int, int]:

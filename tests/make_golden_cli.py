@@ -1,6 +1,11 @@
 """Write ``golden_cli.json``, the CLI output that ``test_golden.py`` pins.
 
     PYTHONPATH=src python tests/make_golden_cli.py
+    PYTHONPATH=src python tests/make_golden_cli.py --check
+
+With ``--check`` the script writes nothing: it prints the argv (its
+``--format`` included) of every record that would change, be added or be
+removed, and exits 1 if the file would change at all, 0 if not.
 
 Each record holds one argv (a subcommand, its flags and a ``--format``),
 and the stdout, stderr and exit status of ``cue_moments.cli.main`` on it.
@@ -15,10 +20,12 @@ digits of numpy and the platform's libm; the exact records do not.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import sys
 from typing import Iterator
 
 from cue_moments.cli import main as cli_main
@@ -77,11 +84,30 @@ def golden_records() -> Iterator[dict]:
             yield run_cli([*command, "--format", output_format])
 
 
-def main() -> None:
-    with open(GOLDEN_CLI, "w", encoding="utf-8") as handle:
-        json.dump(list(golden_records()), handle, indent=1)
-        handle.write("\n")
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Write (or, with --check, compare) golden_cli.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; print each record that would change and exit 1 if any would")
+    args = parser.parse_args(argv)
+    records = list(golden_records())
+    text = json.dumps(records, indent=1) + "\n"
+    if not args.check:
+        with open(GOLDEN_CLI, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return 0
+    with open(GOLDEN_CLI, encoding="utf-8") as handle:
+        committed_text = handle.read()
+    committed = {tuple(r["argv"]): r for r in json.loads(committed_text)}
+    computed = {tuple(r["argv"]): r for r in records}
+    changed = [argv for argv in {**committed, **computed} if committed.get(argv) != computed.get(argv)]
+    for argv in changed:
+        state = "added" if argv not in committed else "removed" if argv not in computed else "changed"
+        print(f"{state}: {' '.join(argv)}")
+    if not changed and text != committed_text:
+        print("changed: record order or layout")
+    print(f"{len(changed)} of {len(computed)} records would change")
+    return int(text != committed_text)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

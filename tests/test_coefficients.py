@@ -17,6 +17,8 @@ from cue_moments.coefficients import (
 )
 from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
 
+from _brute import hook_content_terms, series_coeff_terms
+
 
 class TestSeriesCoeff:
     def test_single_partition_cases(self):
@@ -41,6 +43,14 @@ class TestSeriesCoeff:
             series_coeff(0, 0, 1)
         with pytest.raises(ValueError):
             series_coeff(0, 1, 0)
+
+    def test_matches_one_fraction_per_term_sums(self):
+        for p in range(13):
+            for k in range(1, 5):
+                assert series_coeff_limit(p, k) == series_coeff_terms(p, k, None)
+                assert hook_content_sum(p, k) == hook_content_terms(p, k)
+                for n in (1, 2, 3, 7):
+                    assert series_coeff(p, k, n) == series_coeff_terms(p, k, n)
 
     def test_transpose_route_equivalence(self):
         # summing over transposed shapes with negated arguments gives the

@@ -20,7 +20,7 @@ from cue_moments.moments import (
 )
 from cue_moments.specfun import moment_gen_series
 
-from _brute import keating_snaith_running_product
+from _brute import keating_snaith_running_product, nearest_float_over_pi
 
 
 class TestMomentOrder:
@@ -49,8 +49,24 @@ class TestExactScalar:
         assert str(ExactScalar(Fraction(-5, 3))) == "-5/(3*pi)"
 
     def test_to_float(self):
-        assert ExactScalar(Fraction(1, 2)).to_float() == 0.5 / math.pi
+        assert ExactScalar(Fraction(1, 2)).to_float() == nearest_float_over_pi(Fraction(1, 2))
         assert ExactScalar(Fraction(2)).to_float() == pytest.approx(2 / math.pi, rel=1e-15)
+        # float(q) / pi rounds twice and misses the nearest float here
+        q = moment_half_h(2, 1, 1).q
+        assert float(q) / math.pi != nearest_float_over_pi(q) == ExactScalar(q).to_float()
+        for n in range(1, 13):
+            for k in range(1, 5):
+                for two_h in range(1, 2 * k + 1, 2):
+                    q = moment_half_h(n, two_h, k).q
+                    assert ExactScalar(q).to_float() == nearest_float_over_pi(q)
+        for q in (Fraction(1, 10 ** 320), Fraction(-3, 7 * 10 ** 310), Fraction(int(sys.float_info.max) * 3)):
+            assert ExactScalar(q).to_float() == nearest_float_over_pi(q)
+
+    def test_to_float_beyond_the_float_range_raises(self):
+        assert ExactScalar(Fraction(1, 10 ** 400)).to_float() == 0.0
+        for q in (Fraction(10 ** 400), Fraction(-(10 ** 309) * 4)):
+            with pytest.raises(OverflowError):
+                ExactScalar(q).to_float()
 
     def test_digits_beyond_the_int_to_str_limit_leave_the_limit_alone(self, monkeypatch):
         def refuse(limit):

@@ -5,7 +5,13 @@ import pytest
 
 from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
 
-from _brute import ascending_partitions, box_product, hook_product_factorial_form, partition_counts
+from _brute import (
+    ascending_partitions,
+    box_product,
+    hook_product_boxes,
+    hook_product_factorial_form,
+    partition_counts,
+)
 
 
 def all_partitions(p):
@@ -68,9 +74,10 @@ class TestHookProduct:
             assert hook_product((p,)) == factorial(p)
 
     def test_matches_factorial_form(self):
-        for p in range(11):
-            for lam in all_partitions(p):
-                assert hook_product(lam) == hook_product_factorial_form(lam)
+        # and the box-by-box arm + leg + 1 product
+        for w in range(15):
+            for lam in all_partitions(w):
+                assert hook_product(lam) == hook_product_boxes(lam) == hook_product_factorial_form(lam)
 
 
 class TestPochhammer:
@@ -80,6 +87,12 @@ class TestPochhammer:
         assert pochhammer(Fraction(5, 7), ()) == 1
         for n in (1, 4, 19):
             assert pochhammer(-n, (1,)) == -n
+        # row 3 of (3, 1, 1, 1) at b = 2 is the single factor 0; at b = -1 row 1 runs -1, 0, 1
+        assert pochhammer(2, (3, 1, 1, 1)) == 0
+        assert pochhammer(-1, (3,)) == 0
+        # all-negative rows: (-3)(-2) and (-4); (-5)(-4)(-3) and (-6)(-5)(-4)
+        assert pochhammer(-3, (2, 1)) == -24
+        assert pochhammer(-5, (3, 3)) == 60 * 120
 
     def test_fraction_base_stays_exact(self):
         value = pochhammer(Fraction(1, 2), (2, 1))
@@ -87,10 +100,24 @@ class TestPochhammer:
         assert value == Fraction(-3, 8)
 
     def test_matches_direct_box_product(self):
-        for p in range(9):
-            for lam in all_partitions(p):
-                for b in (-2, 3, Fraction(1, 2)):
-                    assert pochhammer(b, lam) == box_product(b, lam)
+        int_bases = range(-25, 26)
+        fraction_bases = (Fraction(1, 2), Fraction(-7, 3), Fraction(5, 7), Fraction(4))
+        crossing = negative = 0
+        for w in range(13):
+            for lam in all_partitions(w):
+                for b in int_bases:
+                    value = pochhammer(b, lam)
+                    assert type(value) is int
+                    assert value == box_product(b, lam)
+                    starts = [b - i + 1 for i in range(1, len(lam) + 1)]
+                    crossing += any(s <= 0 <= s + row - 1 for s, row in zip(starts, lam))
+                    negative += any(s + row - 1 < 0 for s, row in zip(starts, lam)) and value != 0
+                for b in fraction_bases:
+                    value = pochhammer(b, lam)
+                    assert type(value) is Fraction
+                    assert value == box_product(b, lam)
+        # rows that cross zero, and nonzero values with an all-negative row, both occur often
+        assert crossing > 1000 and negative > 1000
 
     def test_vanishing_iff_too_many_parts(self):
         for p in range(11):
