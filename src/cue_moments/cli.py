@@ -282,6 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--zeta", type=float, default=1.0)
     p_quad.add_argument("--n", type=int, required=True)
     p_quad.add_argument("--tol", type=float, default=1e-8)
+    # Negative floats in any syntax float() reads ("-1e-3", "-inf") are values, so they reach the checks.
+    p_quad._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 
     sub.add_parser("verify", help="run every exact identity suite")
 

@@ -8,14 +8,17 @@ the ratio); its scaled large-n limit is det[G_{i+j+1}(2 zeta)] with
 G_alpha(x) = sum_m x^m / (m! (m + alpha)!), again det[f^(i+j)] for
 f = G_1(2 zeta) (Conrey, Rubinstein & Snaith, CMP 2006).
 
-:func:`coeff_vector` and :func:`limit_coeff_vector` compute c_0..c_P of
-these determinants at once, fraction-free over integer Hurwitz series
-(entry j is j! times the coefficient of zeta^j) truncated after zeta^P,
-by Sylvester's identity (the condensation behind
-Bareiss elimination, Math. Comp. 1968): with tau_j the j x j Hankel
-determinant of derivatives of f, tau_{j+1} tau_{j-1} = tau_j tau_j'' -
-tau_j'^2 (Desnanot-Jacobi), so k - 1 exact series divisions give tau_k.
-They are the coefficients every moment in :mod:`cue_moments.moments` uses.
+:func:`coeff_numerators` and :func:`limit_coeff_numerators` compute these
+determinants at once, fraction-free over integer Hurwitz series (entry j
+is j! times the coefficient of zeta^j) truncated after zeta^P, by
+Sylvester's identity (the condensation behind Bareiss elimination, Math.
+Comp. 1968): with tau_j the j x j Hankel determinant of derivatives of f,
+tau_{j+1} tau_{j-1} = tau_j tau_j'' - tau_j'^2 (Desnanot-Jacobi), so
+k - 1 exact series divisions give tau_k.  They return its integer Hurwitz
+numerators h_0..h_P, signed so that h_0 > 0, with c_p = h_p / (p! h_0);
+these cached integers are what every moment in :mod:`cue_moments.moments`
+recombines.  :func:`coeff_vector` and :func:`limit_coeff_vector` form the
+Fractions c_p from them on each call.
 
 ``series_coeff(p, k, n)`` and ``series_coeff_limit(p, k)`` are the same
 coefficients as sums over partitions of p into at most k parts.  They stay
@@ -64,48 +67,68 @@ def _condense(cur: list[int], prev: list[int]) -> list[int]:
     return quo
 
 
-def _hankel_ratio(f: list[int], k: int, size: int) -> tuple[Fraction, ...]:
-    """c_0..c_{size-1} of det[f^(i+j)]_{i,j<k} divided by its value at zeta = 0.
+def _hankel_numerators(f: list[int], k: int, size: int) -> tuple[int, ...]:
+    """h_0..h_{size-1} with c_p = h_p / (p! h_0) the coefficients of det[f^(i+j)]_{i,j<k} over its value at 0.
 
     ``f`` is an integer Hurwitz series with at least size + 2(k - 1) terms;
     each condensation step uses up two of them.  The divisors are the
     leading j x j determinants, whose values at 0 are zeroth moments of
-    order j < k and so never vanish.
+    order j < k and so never vanish.  The sign is fixed so that h_0 > 0.
     """
     prev, cur = [1] + [0] * len(f), f
     for _ in range(k - 1):
         prev, cur = cur, _condense(cur, prev)
-    return tuple(Fraction(c, factorial(p) * cur[0]) for p, c in enumerate(cur[:size]))
+    sign = 1 if cur[0] > 0 else -1
+    return tuple(sign * h for h in cur[:size])
+
+
+def _ratios(h: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The coefficients c_p = h_p / (p! h_0) of integer Hurwitz numerators."""
+    return tuple(Fraction(x, factorial(p) * h[0]) for p, x in enumerate(h))
 
 
 @lru_cache(maxsize=None)
-def coeff_vector(k: int, n: int, P: int) -> tuple[Fraction, ...]:
-    """The coefficients c_0..c_min(P, kn) of the reduced moment polynomial at size n.
+def coeff_numerators(k: int, n: int, P: int) -> tuple[int, ...]:
+    """Integer Hurwitz numerators h_0..h_min(P, kn) at size n: c_p = h_p / (p! h_0), h_0 > 0.
 
-    c_p equals ``series_coeff(p, k, n)``; coefficients beyond kn are zero
-    and are not returned.  f = L^(1)_{n+k-1}(-2 zeta) has the integer
-    Hurwitz coefficients C(n+k, j+1) 2^j.
+    f = L^(1)_{n+k-1}(-2 zeta) has the integer Hurwitz coefficients
+    C(n+k, j+1) 2^j.  Coefficients beyond kn are zero and are not returned.
     """
     if k < 1 or n < 1 or P < 0:
         raise ValueError(f"need k >= 1, n >= 1, P >= 0, got {(k, n, P)}")
     P = min(P, k * n)
     f = [comb(n + k, j + 1) << j for j in range(P + 2 * k - 1)]
-    return _hankel_ratio(f, k, P + 1)
+    return _hankel_numerators(f, k, P + 1)
 
 
 @lru_cache(maxsize=None)
-def limit_coeff_vector(k: int, P: int) -> tuple[Fraction, ...]:
-    """The limiting coefficients c_0..c_P, each equal to ``series_coeff_limit(p, k)``.
+def limit_coeff_numerators(k: int, P: int) -> tuple[int, ...]:
+    """Integer Hurwitz numerators h_0..h_P of the limiting coefficients: c_p = h_p / (p! h_0), h_0 > 0.
 
     f = G_1(2 zeta) has the Hurwitz coefficients 2^j / (j + 1)!, scaled
-    here to integers by (s + 1)!, s being the last one used.
+    here to integers by (s + 1)!, s being the last one used; so the h_p of
+    two calls with different P differ by a constant factor.
     """
     if k < 1 or P < 0:
         raise ValueError(f"need k >= 1 and P >= 0, got {(k, P)}")
     s = P + 2 * (k - 1)
     scale = factorial(s + 1)
     f = [scale // factorial(j + 1) << j for j in range(s + 1)]
-    return _hankel_ratio(f, k, P + 1)
+    return _hankel_numerators(f, k, P + 1)
+
+
+def coeff_vector(k: int, n: int, P: int) -> tuple[Fraction, ...]:
+    """The coefficients c_0..c_min(P, kn) of the reduced moment polynomial at size n.
+
+    c_p equals ``series_coeff(p, k, n)``; coefficients beyond kn are zero
+    and are not returned.
+    """
+    return _ratios(coeff_numerators(k, n, P))
+
+
+def limit_coeff_vector(k: int, P: int) -> tuple[Fraction, ...]:
+    """The limiting coefficients c_0..c_P, each equal to ``series_coeff_limit(p, k)``."""
+    return _ratios(limit_coeff_numerators(k, P))
 
 
 def _partition_sum(p: int, k: int, n: int | None) -> Fraction:

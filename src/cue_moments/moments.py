@@ -10,10 +10,12 @@ are exact rationals for even two_h and truncated series for odd two_h.
 Every value is one recombination, :func:`_recombine` over a prefix of an
 engine vector: a prefactor depending on two_h times the zeroth moment
 times sum_p w_p c_p, where c_p are the coefficients of the reduced moment
-polynomial from the determinant engine
-:func:`~cue_moments.coefficients.coeff_vector` and the weight w_p depends
-only on the parity of two_h and on n.  The limit is the same sum at n = 1
-over :func:`~cue_moments.coefficients.limit_coeff_vector`, times
+polynomial and the weight w_p depends only on the parity of two_h and on
+n.  The engine, :func:`~cue_moments.coefficients.coeff_numerators`, gives
+integers h_p with c_p = h_p / (p! h_0); the sum runs over integers above
+the one denominator P! n^max(P - two_h, 0) h_0, and the moment becomes a
+Fraction once.  The limit is the same sum at n = 1 over
+:func:`~cue_moments.coefficients.limit_coeff_numerators`, times
 :func:`limit_moment_zero`; for odd two_h a stopping rule picks where the
 prefix ends, and that rule is all that is specific to the limit.
 """
@@ -26,7 +28,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .coefficients import coeff_vector, limit_coeff_vector
+from .coefficients import coeff_numerators, limit_coeff_numerators
 
 
 @dataclass(frozen=True)
@@ -118,25 +120,38 @@ def _prefactor(two_h: int, zeroth: Fraction) -> Fraction:
     return Fraction((1 + two_h % 2) * (-1) ** ((two_h + 1) // 2), 2 ** two_h) * zeroth
 
 
-def _weight(p: int, two_h: int, n: int) -> Fraction | int:
-    """Weight w_p of the coefficient c_p in the moment of order two_h at size n (n = 1: the limit).
+def _scale(two_h: int, n: int, P: int) -> int:
+    """P! n^max(P - two_h, 0): times h_0, the one denominator of a recombination over h_0..h_P."""
+    return factorial(P) * n ** max(P - two_h, 0)
 
-    Even two_h, p <= two_h: two_h!/(two_h - p)! (-n)^(two_h - p).  Odd two_h:
-    w_0 = 0; p! (-n)^(two_h - p) sum_{l=1..p} C(two_h, p - l) (-1)^l / l up
-    to p = two_h; two_h! (p - two_h - 1)! / n^(p - two_h) beyond.
+
+def _weight(p: int, two_h: int, n: int, P: int) -> int:
+    """Integer weight of h_p in the moment of order two_h at size n (n = 1: the limit), over h_0..h_P.
+
+    It is w_p / p! times ``_scale(two_h, n, P)``, with w_p the weight of
+    c_p = h_p / (p! h_0).  w_p / p! is C(two_h, p) (-n)^(two_h - p) for even
+    two_h.  For odd two_h it is 0 at p = 0; (-n)^(two_h - p) sum_{l=1..p}
+    C(two_h, p - l) (-1)^l / l up to p = two_h; two_h! (p - two_h - 1)! /
+    (p! n^(p - two_h)) beyond.  P >= p makes each product an integer.
     """
+    scale = _scale(two_h, n, P)
     if two_h % 2 == 0:
-        return perm(two_h, p) * (-n) ** (two_h - p)
+        return comb(two_h, p) * (-n) ** (two_h - p) * scale
     if p > two_h:
-        return Fraction(factorial(two_h) * factorial(p - two_h - 1), n ** (p - two_h))
-    inner = sum((Fraction(comb(two_h, p - l) * (-1) ** l, l) for l in range(1, p + 1)), Fraction(0))
-    return factorial(p) * (-n) ** (two_h - p) * inner
+        return factorial(two_h) * factorial(p - two_h - 1) * scale // (factorial(p) * n ** (p - two_h))
+    return (-n) ** (two_h - p) * sum((-1) ** l * comb(two_h, p - l) * scale // l for l in range(1, p + 1))
 
 
-def _recombine(two_h: int, n: int, zeroth: Fraction, coeffs) -> Fraction:
-    """Prefactor times sum_p w_p c_p (times 1/pi for odd two_h); two_h = 0 gives ``zeroth``."""
-    total = sum((_weight(p, two_h, n) * c for p, c in enumerate(coeffs)), Fraction(0))
-    return _prefactor(two_h, zeroth) * total
+def _recombine(two_h: int, n: int, zeroth: Fraction, h: tuple[int, ...]) -> Fraction:
+    """Prefactor times sum_p w_p c_p over the numerators h_0..h_P (times 1/pi for odd two_h).
+
+    The sum runs over integers above the one denominator ``_scale`` times
+    h_0 and becomes a Fraction once; two_h = 0 gives ``zeroth``.
+    """
+    P = len(h) - 1
+    total = sum(_weight(p, two_h, n, P) * x for p, x in enumerate(h))
+    prefactor = _prefactor(two_h, zeroth)
+    return Fraction(prefactor.numerator * total, prefactor.denominator * _scale(two_h, n, P) * h[0])
 
 
 def moment_integer_h(n: int, h: int, k: int) -> Fraction:
@@ -144,7 +159,7 @@ def moment_integer_h(n: int, h: int, k: int) -> Fraction:
     if h < 1:
         raise ValueError(f"h must be a positive integer, got {h}; use keating_snaith for h = 0")
     MomentOrder(2 * h, k)
-    return _recombine(2 * h, n, keating_snaith(n, k), coeff_vector(k, n, 2 * h))
+    return _recombine(2 * h, n, keating_snaith(n, k), coeff_numerators(k, n, 2 * h))
 
 
 def moment_half_h(n: int, two_h: int, k: int) -> ExactScalar:
@@ -152,7 +167,7 @@ def moment_half_h(n: int, two_h: int, k: int) -> ExactScalar:
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be odd, got {two_h}; use moment_integer_h")
     MomentOrder(two_h, k)
-    return ExactScalar(_recombine(two_h, n, keating_snaith(n, k), coeff_vector(k, n, k * n)))
+    return ExactScalar(_recombine(two_h, n, keating_snaith(n, k), coeff_numerators(k, n, k * n)))
 
 
 def half_moment_k1_closed(n: int) -> ExactScalar:
@@ -163,8 +178,8 @@ def half_moment_k1_closed(n: int) -> ExactScalar:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    total = sum((comb(n + 2, j + 3) * Fraction(2 ** j, n ** (j + 1)) for j in range(n)), Fraction(0))
-    return ExactScalar(2 * total)
+    total = sum(comb(n + 2, j + 3) * 2 ** j * n ** (n - 1 - j) for j in range(n))
+    return ExactScalar(Fraction(2 * total, n ** n))
 
 
 def limit_moment_integer_h(h: int, k: int) -> Fraction:
@@ -172,7 +187,7 @@ def limit_moment_integer_h(h: int, k: int) -> Fraction:
     if h < 1:
         raise ValueError(f"h must be a positive integer, got {h}")
     MomentOrder(2 * h, k)
-    return _recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_vector(k, 2 * h))
+    return _recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_numerators(k, 2 * h))
 
 
 def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
@@ -189,17 +204,20 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
+    # t_q = w_q c_q is T_q / (q! h_0) with the integer T_q = _weight(q, two_h, 1, q) h_q, so
+    # t_p < tol/2 and 2 t_p < t_(p-1) compare integers of one vector h.
     half_tol = Fraction(tol) / 2
     p = two_h + 2 * k + 4
-    coeffs = limit_coeff_vector(k, p)
-    previous, term = (_weight(q, two_h, 1) * coeffs[q] for q in (p - 1, p))
-    while not (term < half_tol and 2 * term < previous):
+    h = limit_coeff_numerators(k, p)
+    while True:
+        term, previous = (_weight(q, two_h, 1, q) * h[q] for q in (p, p - 1))
+        if term < half_tol * factorial(p) * h[0] and 2 * term < p * previous:
+            break
         p += 1
-        if p == len(coeffs):
-            coeffs = limit_coeff_vector(k, p + p // 2)
-        previous, term = term, _weight(p, two_h, 1) * coeffs[p]
+        if p == len(h):
+            h = limit_coeff_numerators(k, p + p // 2)
 
     zeroth = limit_moment_zero(k)
-    value = ExactScalar(_recombine(two_h, 1, zeroth, coeffs[:p + 1])).to_float()
-    tail_bound = ExactScalar(abs(_prefactor(two_h, zeroth)) * 2 * term).to_float()
+    value = ExactScalar(_recombine(two_h, 1, zeroth, h[:p + 1])).to_float()
+    tail_bound = ExactScalar(abs(_prefactor(two_h, zeroth)) * Fraction(2 * term, factorial(p) * h[0])).to_float()
     return LimitResult(value=value, tail_bound=tail_bound, terms_used=p - two_h)

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import coeff_vector
+from .coefficients import coeff_numerators
 from .moments import DECIMAL_CONTEXT, DECIMAL_PI, MomentOrder, keating_snaith
 
 # Trials drawn, reduced and folded into the running mean and variance at a
@@ -249,19 +249,25 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     """The same integral reconstituted from the exact reduced polynomial.
 
     The reduced polynomial is keating_snaith(n, k) sum_p c_p |zeta|^p with
-    the coefficients c_p of the production engine
-    :func:`~cue_moments.coefficients.coeff_vector`, the ones every exact
-    moment uses.  Its product with pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) is
-    formed in a 40-digit decimal context where nothing overflows or
-    underflows, and rounded to a float once.
+    the coefficients c_p = h_p / (p! h_0) of the production engine
+    :func:`~cue_moments.coefficients.coeff_numerators`, the ones every exact
+    moment uses; at |zeta| = a/b the sum is the integer sum_p h_p (P!/p!)
+    a^p b^(P-p) over P! h_0 b^P.  Its product with pi^n n! 2^(-(n+2k-1)n)
+    e^(-n|zeta|) is formed in a 40-digit decimal context where nothing
+    overflows or underflows, and rounded to a float once.
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
     z = abs(zeta)
-    exact_z, series = Fraction(z), Fraction(0)
-    for c in reversed(coeff_vector(k, n, k * n)):
-        series = series * exact_z + c
-    exact = keating_snaith(n, k) * series
+    a, b = z.as_integer_ratio()
+    h = coeff_numerators(k, n, k * n)
+    P = len(h) - 1
+    series, bpow = 0, 1
+    for p in range(P, -1, -1):
+        series = series * a + h[p] * math.perm(P, P - p) * bpow
+        bpow *= b
+    zeroth = keating_snaith(n, k)
+    exact = Fraction(zeroth.numerator * series, zeroth.denominator * math.factorial(P) * h[0] * b ** P)
     with localcontext(DECIMAL_CONTEXT):
         return float(Decimal(exact.numerator) / exact.denominator * DECIMAL_PI ** n * math.factorial(n)
                      * (-n * Decimal(z)).exp() / Decimal(2) ** ((n + 2 * k - 1) * n))

@@ -15,18 +15,36 @@ determinant engine in :mod:`cue_moments.coefficients`; the series route
 here keeps the partition sums (``series_coeff``), so the three-route
 identity compares the determinants with an independent route rather than
 with the engine.
+
+All three run over integers and reduce to a Fraction once, at the end.
+The Wronskian and Hankel routes use the integer polynomials m! L_m^(alpha),
+valued at t = p/q by homogeneous Horner (q^m times the value), and take
+their determinants by fraction-free Bareiss elimination; the Wronskian
+still differentiates the coefficient sequences symbolically.  The series
+route brings the partition-sum coefficients over their least common
+denominator.  The public helpers accept Fraction coefficients too: they
+clear a polynomial's denominators once and run the same integer kernels.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, perm, prod
 from typing import Sequence
 
 from .coefficients import series_coeff
 from .moments import keating_snaith
 
 Rational = int | Fraction
+
+
+def _scaled_laguerre(n: int, alpha: int) -> tuple[int, ...]:
+    """Integer coefficients of n! times the Laguerre polynomial: entry j is (-1)^j C(n + alpha, n - j) n!/j!."""
+    if n < 0:
+        raise ValueError(f"degree must be non-negative, got {n}")
+    if n + alpha < 0:
+        raise ValueError(f"need n + alpha >= 0, got n={n}, alpha={alpha}")
+    return tuple((-1) ** j * comb(n + alpha, n - j) * perm(n, n - j) for j in range(n + 1))
 
 
 def laguerre(n: int, alpha: int) -> tuple[Fraction, ...]:
@@ -36,65 +54,100 @@ def laguerre(n: int, alpha: int) -> tuple[Fraction, ...]:
     Requires n >= 0 and n + alpha >= 0 so the binomial coefficients are
     well defined.
     """
-    if n < 0:
-        raise ValueError(f"degree must be non-negative, got {n}")
-    if n + alpha < 0:
-        raise ValueError(f"need n + alpha >= 0, got n={n}, alpha={alpha}")
-    return tuple(Fraction((-1) ** j * comb(n + alpha, n - j), factorial(j)) for j in range(n + 1))
+    return tuple(Fraction(c, factorial(n)) for c in _scaled_laguerre(n, alpha))
 
 
-def laguerre_eval(coeffs: Sequence[Rational], t: Rational) -> Fraction:
-    """Exact value at t of the polynomial with t^j coefficient ``coeffs[j]``, by Horner's rule."""
-    t = Fraction(t)
-    acc = Fraction(0)
+def _cleared(coeffs: Sequence[Rational]) -> tuple[list[int], int]:
+    """(d coeffs, d) for the least d >= 1 that makes every coefficient an integer."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _horner(coeffs: Sequence[int], p: int, q: int) -> int:
+    """q^deg times the integer polynomial's value at p/q, by homogeneous Horner over integers."""
+    acc, qpow = 0, 1
     for c in reversed(coeffs):
-        acc = acc * t + c
+        acc = acc * p + c * qpow
+        qpow *= q
     return acc
 
 
-def derivative_coeffs(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Coefficient sequence of the derivative; the zero polynomial is (0,)."""
+def laguerre_eval(coeffs: Sequence[Rational], t: Rational) -> Fraction:
+    """Exact value at t of the polynomial with t^j coefficient ``coeffs[j]``.
+
+    The denominators are cleared once, Horner's rule runs over integers at
+    t = p/q, and the one Fraction is formed at the end.
+    """
+    t = Fraction(t)
+    ints, d = _cleared(coeffs)
+    return Fraction(_horner(ints, t.numerator, t.denominator), d * t.denominator ** max(len(ints) - 1, 0))
+
+
+def derivative_coeffs(coeffs: Sequence[Rational]) -> tuple[Rational, ...]:
+    """Coefficient sequence of the derivative; the zero polynomial is (0,).  Integer input stays integer."""
     if len(coeffs) <= 1:
-        return (Fraction(0),)
+        return (0,)
     return tuple((j + 1) * c for j, c in enumerate(coeffs[1:]))
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination with pivoting."""
-    m = len(matrix)
+def _bareiss(matrix: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free (Bareiss) elimination with row swaps.
+
+    Each step divides by the previous pivot; the quotient is known to be an
+    integer (Bareiss, Math. Comp. 1968), and a remainder raises ArithmeticError.
+    """
     a = [row[:] for row in matrix]
-    det = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
+    m = len(a)
+    sign, prev = 1, 1
+    for col in range(m - 1):
+        pivot = next((r for r in range(col, m) if a[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, m):
-            if a[r][col] != 0:
-                ratio = a[r][col] / a[col][col]
-                for c in range(col, m):
-                    a[r][c] -= ratio * a[col][c]
-    return det
+            sign = -sign
+        top = a[col]
+        for row in a[col + 1:]:
+            lead = row[col]
+            for c in range(col + 1, m):
+                q, r = divmod(row[c] * top[col] - lead * top[c], prev)
+                if r:
+                    raise ArithmeticError("inexact quotient in the Bareiss elimination")
+                row[c] = q
+        prev = top[col]
+    return sign * a[-1][-1]
 
 
-def wronskian_at(polys: Sequence[Sequence[Fraction]], t: Rational) -> Fraction:
-    """Wronskian determinant of the coefficient sequences' polynomials, evaluated exactly at t.
+def _wronskian(polys: Sequence[Sequence[Rational]], t: Rational) -> tuple[int, int]:
+    """(numerator, denominator) of the Wronskian at t, both integers.
 
-    Row j holds the j-th derivatives, computed symbolically on the
-    coefficient sequences, never by finite differences.
+    Column i is scaled by the denominator that clears polynomial i and row j
+    by q^(its top degree), so the matrix is an integer one.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
     t = Fraction(t)
-    coeff_rows = polys
+    p, q = t.numerator, t.denominator
+    cleared = [_cleared(c) for c in polys]
+    rows = [c for c, _ in cleared]
+    scale = prod(d for _, d in cleared)
     matrix = []
     for _ in range(len(polys)):
-        matrix.append([laguerre_eval(c, t) for c in coeff_rows])
-        coeff_rows = [derivative_coeffs(c) for c in coeff_rows]
-    return _det(matrix)
+        top = max(map(len, rows))
+        matrix.append([_horner(c, p, q) * q ** (top - len(c)) for c in rows])
+        scale *= q ** (top - 1)
+        rows = [derivative_coeffs(c) for c in rows]
+    return _bareiss(matrix), scale
+
+
+def wronskian_at(polys: Sequence[Sequence[Rational]], t: Rational) -> Fraction:
+    """Wronskian determinant of the coefficient sequences' polynomials, evaluated exactly at t.
+
+    Row j holds the j-th derivatives, computed symbolically on the
+    coefficient sequences, never by finite differences.  The determinant is
+    taken over integers and reduced to a Fraction once.
+    """
+    return Fraction(*_wronskian(polys, t))
 
 
 def _check_args(k: int, n: int, zeta: Rational) -> Fraction:
@@ -111,11 +164,13 @@ def moment_gen_wronskian(k: int, n: int, zeta: Rational) -> Fraction:
 
     Evaluates (-1)^(k(k-1)/2) W(L_n, ..., L_{n+k-1})(-2 zeta), all with
     parameter k.  For k = 1 this is the single polynomial L_n^(1)(-2 zeta).
+    The Wronskian is taken of the integer polynomials m! L_m and divided by
+    the product of the m! in the one final Fraction.
     """
     zeta = _check_args(k, n, zeta)
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    polys = [laguerre(n + i, k) for i in range(k)]
-    return sign * wronskian_at(polys, -2 * zeta)
+    det, scale = _wronskian([_scaled_laguerre(n + i, k) for i in range(k)], -2 * zeta)
+    return Fraction(sign * det, scale * prod(factorial(n + i) for i in range(k)))
 
 
 def moment_gen_hankel(k: int, n: int, zeta: Rational) -> Fraction:
@@ -123,28 +178,34 @@ def moment_gen_hankel(k: int, n: int, zeta: Rational) -> Fraction:
 
     Entry (i, j) is L_{n+k-1-(i+j)} with parameter 2k - 1, evaluated at
     -2 zeta; a negative degree index means the zero polynomial, the empty
-    sum of the defining formula.
+    sum of the defining formula.  At t = -2 zeta = p/q the entry of degree
+    m is the integer m! L_m value q^m L_m(t) times D!/m! q^(D-m) over the
+    common denominator D! q^D, D = n + k - 1; the integer determinant is
+    divided by that denominator's k-th power once.
     """
     zeta = _check_args(k, n, zeta)
     t = -2 * zeta
-    values: dict[int, Fraction] = {}
-    for degree in range(n - k + 1, n + k):
-        values[degree] = laguerre_eval(laguerre(degree, 2 * k - 1), t) if degree >= 0 else Fraction(0)
-    matrix = [[values[n + k - 1 - (i + j)] for j in range(k)] for i in range(k)]
+    p, q = t.numerator, t.denominator
+    top = n + k - 1
+    values = {
+        m: _horner(_scaled_laguerre(m, 2 * k - 1), p, q) * perm(top, top - m) * q ** (top - m) if m >= 0 else 0
+        for m in range(n - k + 1, n + k)
+    }
+    matrix = [[values[top - (i + j)] for j in range(k)] for i in range(k)]
     sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    return sign * _det(matrix)
+    return Fraction(sign * _bareiss(matrix), (factorial(top) * q ** top) ** k)
 
 
 def moment_gen_series(k: int, n: int, zeta: Rational) -> Fraction:
     """Reduced moment polynomial as a terminating series in zeta.
 
     Equals the zeroth moment times the sum of series_coeff(p, k, n) zeta^p
-    for p up to k*n.  At zeta = 0 only the p = 0 term survives.
+    for p up to k*n.  At zeta = 0 only the p = 0 term survives.  The sum
+    runs over integers, brought over the least common denominator of the
+    coefficients and evaluated by homogeneous Horner at zeta = a/b.
     """
     zeta = _check_args(k, n, zeta)
-    power = Fraction(1)
-    total = Fraction(0)
-    for p in range(k * n + 1):
-        total += series_coeff(p, k, n) * power
-        power *= zeta
-    return keating_snaith(n, k) * total
+    ints, d = _cleared([series_coeff(p, k, n) for p in range(k * n + 1)])
+    a, b = zeta.numerator, zeta.denominator
+    zeroth = keating_snaith(n, k)
+    return Fraction(zeroth.numerator * _horner(ints, a, b), zeroth.denominator * d * b ** (k * n))

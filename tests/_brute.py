@@ -6,13 +6,16 @@ counting, box-by-box hook and Pochhammer products where the package works
 a row at a time, and coefficient sums that add one Fraction per partition
 where the package adds integers over one common denominator.  The
 factorial form of the hook product is kept beside the box-by-box one,
-written independently of the package's.
+written independently of the package's.  The package's exact kernels run
+over integers and reduce to a Fraction once; the Fraction versions they
+replaced (Gaussian elimination, per-term Horner, the Fraction
+recombination and its weights) are kept here as their references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, perm
 from typing import Iterator
 
 
@@ -110,6 +113,114 @@ def hook_content_terms(p: int, k: int) -> Fraction:
     """Sum of [k] / h^2 over every partition of p, one Fraction per partition."""
     return sum((Fraction(box_product(k, parts), hook_product_boxes(parts) ** 2) for parts in ascending_partitions(p)),
                Fraction(0))
+
+
+def fraction_det(matrix: list[list[Fraction]]) -> Fraction:
+    """Exact determinant by Fraction Gaussian elimination with pivoting."""
+    m = len(matrix)
+    a = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(m):
+        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, m):
+            if a[r][col] != 0:
+                ratio = a[r][col] / a[col][col]
+                for c in range(col, m):
+                    a[r][c] -= ratio * a[col][c]
+    return det
+
+
+def laguerre_terms(n: int, alpha: int) -> list[Fraction]:
+    """Laguerre coefficients binom(n + alpha, n - j) (-1)^j / j!, one Fraction each."""
+    return [Fraction((-1) ** j * comb(n + alpha, n - j), factorial(j)) for j in range(n + 1)]
+
+
+def fraction_horner(coeffs, t) -> Fraction:
+    """Polynomial value at t by Horner's rule, one Fraction operation per term."""
+    t = Fraction(t)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _fraction_derivative(coeffs) -> list[Fraction]:
+    return [Fraction(j + 1) * c for j, c in enumerate(coeffs[1:])] or [Fraction(0)]
+
+
+def _route_sign(k: int) -> int:
+    return -1 if (k * (k - 1) // 2) % 2 else 1
+
+
+def wronskian_route(k: int, n: int, zeta) -> Fraction:
+    """(-1)^(k(k-1)/2) W(L_n^(k), ..., L_{n+k-1}^(k))(-2 zeta) in Fractions throughout."""
+    t = -2 * Fraction(zeta)
+    rows = [laguerre_terms(n + i, k) for i in range(k)]
+    matrix = []
+    for _ in range(k):
+        matrix.append([fraction_horner(c, t) for c in rows])
+        rows = [_fraction_derivative(c) for c in rows]
+    return _route_sign(k) * fraction_det(matrix)
+
+
+def hankel_route(k: int, n: int, zeta) -> Fraction:
+    """(-1)^(k(k-1)/2) det[L^(2k-1)_{n+k-1-i-j}(-2 zeta)] in Fractions throughout."""
+    t = -2 * Fraction(zeta)
+    top = n + k - 1
+    entry = lambda m: fraction_horner(laguerre_terms(m, 2 * k - 1), t) if m >= 0 else Fraction(0)
+    return _route_sign(k) * fraction_det([[entry(top - i - j) for j in range(k)] for i in range(k)])
+
+
+def fraction_weight(p: int, two_h: int, n: int) -> Fraction:
+    """Weight w_p of c_p in the moment of order two_h at size n (n = 1: the limit), as a Fraction.
+
+    Even two_h: two_h!/(two_h - p)! (-n)^(two_h - p).  Odd two_h: w_0 = 0;
+    p! (-n)^(two_h - p) sum_{l=1..p} C(two_h, p - l) (-1)^l / l up to
+    p = two_h; two_h! (p - two_h - 1)! / n^(p - two_h) beyond.
+    """
+    if two_h % 2 == 0:
+        return Fraction(perm(two_h, p) * (-n) ** (two_h - p))
+    if p > two_h:
+        return Fraction(factorial(two_h) * factorial(p - two_h - 1), n ** (p - two_h))
+    inner = sum((Fraction(comb(two_h, p - l) * (-1) ** l, l) for l in range(1, p + 1)), Fraction(0))
+    return factorial(p) * (-n) ** (two_h - p) * inner
+
+
+def fraction_prefactor(two_h: int, zeroth) -> Fraction:
+    """zeroth times (-1)^h / 2^two_h (even two_h) or 2 (-1)^(h + 1/2) / 2^two_h (odd)."""
+    return Fraction((1 + two_h % 2) * (-1) ** ((two_h + 1) // 2), 2 ** two_h) * zeroth
+
+
+def fraction_recombine(two_h: int, n: int, zeroth, coeffs) -> Fraction:
+    """Prefactor times sum_p w_p c_p over the coefficients c_p, one Fraction per term."""
+    total = sum((fraction_weight(p, two_h, n) * c for p, c in enumerate(coeffs)), Fraction(0))
+    return fraction_prefactor(two_h, zeroth) * total
+
+
+def fraction_limit_half_h(two_h: int, k: int, tol: float, coeff_vector, zeroth) -> tuple[int, Fraction, Fraction]:
+    """(terms_used, exact value q, exact tail bound q) of the half-integer limit, in Fractions.
+
+    Stops at the first p >= two_h + 2k + 4 with t_p < tol/2 and
+    2 t_p < t_(p-1), t_p = w_p c_p, regrowing the vector 1.5 times when p
+    runs past it; ``coeff_vector(k, P)`` gives c_0..c_P.
+    """
+    half_tol = Fraction(tol) / 2
+    p = two_h + 2 * k + 4
+    coeffs = coeff_vector(k, p)
+    previous, term = (fraction_weight(q, two_h, 1) * coeffs[q] for q in (p - 1, p))
+    while not (term < half_tol and 2 * term < previous):
+        p += 1
+        if p == len(coeffs):
+            coeffs = coeff_vector(k, p + p // 2)
+        previous, term = term, fraction_weight(p, two_h, 1) * coeffs[p]
+    value = fraction_recombine(two_h, 1, zeroth, coeffs[:p + 1])
+    return p - two_h, value, abs(fraction_prefactor(two_h, zeroth)) * 2 * term
 
 
 def lagrange_interpolate(points: list[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:

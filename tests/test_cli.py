@@ -274,6 +274,14 @@ class TestQuadCommand:
             f"quad k=2 zeta=400.0 n=1: integral {value:.3g} (|integral| <= tol 1e-08: no digit certified)"
         )
 
+    def test_negative_exponent_form_zeta_is_a_value(self, capsys):
+        spaced = run_cli(capsys, "quad", "--k", "2", "--n", "1", "--zeta", "-1e-3")
+        assert spaced == run_cli(capsys, "quad", "--k", "2", "--n", "1", "--zeta=-1e-3")
+        assert spaced[0] == 0 and spaced[2] == ""
+        assert run_cli(capsys, "quad", "--k", "2", "--n", "1", "--zeta", "-inf") == (
+            1, "", "error: zeta must be finite, got -inf\n"
+        )
+
     def test_uncertified_request_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "quad", "--k", "1", "--zeta", "1e300", "--n", "1")
         assert (code, out) == (1, "")

@@ -1,0 +1,185 @@
+"""The integer kernels against the Fraction code they replaced (kept in ``_brute``)."""
+
+import random
+from fractions import Fraction
+from math import comb, factorial
+
+import pytest
+
+from cue_moments import moments
+from cue_moments.coefficients import (
+    coeff_numerators,
+    coeff_vector,
+    limit_coeff_numerators,
+    limit_coeff_vector,
+    series_coeff,
+)
+from cue_moments.moments import (
+    ExactScalar,
+    _recombine,
+    half_moment_k1_closed,
+    keating_snaith,
+    limit_moment_half_h,
+    limit_moment_integer_h,
+    limit_moment_zero,
+    moment_half_h,
+    moment_integer_h,
+)
+from cue_moments.specfun import (
+    _bareiss,
+    laguerre,
+    laguerre_eval,
+    moment_gen_hankel,
+    moment_gen_series,
+    moment_gen_wronskian,
+    wronskian_at,
+)
+
+from _brute import (
+    fraction_det,
+    fraction_horner,
+    fraction_limit_half_h,
+    fraction_recombine,
+    hankel_route,
+    laguerre_terms,
+    wronskian_route,
+)
+
+# Wider than the verify suite's grid (k <= 4, n <= 8, zeta in {0, 1/3, 1, 7/2}).
+ROUTE_ZETAS = (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(2, 9), Fraction(7, 2), Fraction(40))
+
+
+class TestRoutes:
+    def test_wronskian_and_hankel_equal_the_fraction_routes(self):
+        for k in range(1, 7):
+            for n in range(1, 11):
+                for z in ROUTE_ZETAS:
+                    assert moment_gen_wronskian(k, n, z) == wronskian_route(k, n, z), (k, n, z)
+                    assert moment_gen_hankel(k, n, z) == hankel_route(k, n, z), (k, n, z)
+
+    def test_series_equals_the_fraction_horner(self):
+        for k in range(1, 7):
+            for n in range(1, 11):
+                coeffs = [series_coeff(p, k, n) for p in range(k * n + 1)]
+                for z in ROUTE_ZETAS:
+                    expected = keating_snaith(n, k) * fraction_horner(coeffs, z)
+                    assert moment_gen_series(k, n, z) == expected, (k, n, z)
+
+    def test_public_helpers_equal_the_fraction_forms(self):
+        for n in range(9):
+            for alpha in (-n, 0, 3, 11):
+                poly = laguerre(n, alpha)
+                assert list(poly) == laguerre_terms(n, alpha)
+                for t in (Fraction(0), Fraction(-2, 3), Fraction(5, 7), Fraction(-80)):
+                    assert laguerre_eval(poly, t) == fraction_horner(poly, t)
+        mixed = [[Fraction(1, 2), 3, Fraction(-4, 9)], [2, Fraction(7, 5)], [Fraction(1, 6)]]
+        for t in (Fraction(0), Fraction(3, 4), Fraction(-5, 2)):
+            rows, matrix = mixed, []
+            for _ in range(3):
+                matrix.append([fraction_horner(c, t) for c in rows])
+                rows = [[(j + 1) * c for j, c in enumerate(c[1:])] or [0] for c in rows]
+            assert wronskian_at(mixed, t) == fraction_det(matrix)
+
+
+class TestBareiss:
+    def test_one_by_one(self):
+        assert _bareiss([[-7]]) == fraction_det([[-7]]) == -7
+        assert _bareiss([[0]]) == 0
+
+    def test_zero_leading_pivot_swaps_rows_with_a_sign(self):
+        matrix = [[0, 2, 1], [3, 1, 4], [1, 5, 9]]
+        assert _bareiss(matrix) == fraction_det(matrix) == -32
+        assert _bareiss([[0, 1], [1, 0]]) == -1
+
+    def test_singular(self):
+        for matrix in ([[1, 2], [2, 4]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[0, 0], [0, 5]], [[2, 0], [3, 0]]):
+            assert _bareiss(matrix) == fraction_det(matrix) == 0
+
+    def test_random_integer_matrices(self):
+        rng = random.Random(20)
+        for m in range(1, 9):
+            for _ in range(25):
+                span = rng.choice((1, 3, 10 ** 12))
+                matrix = [[rng.randint(-span, span) for _ in range(m)] for _ in range(m)]
+                if rng.random() < 0.3:  # a zero column prefix forces swaps further down
+                    for row in matrix[: rng.randrange(m)]:
+                        row[0] = 0
+                assert _bareiss(matrix) == fraction_det(matrix), matrix
+
+    def test_leaves_its_input_alone(self):
+        matrix = [[0, 2], [3, 1]]
+        _bareiss(matrix)
+        assert matrix == [[0, 2], [3, 1]]
+
+    def test_non_exact_division_raises(self):
+        # Off the integers the quotient by the pivot can leave a remainder.
+        with pytest.raises(ArithmeticError):
+            _bareiss([[1, 1], [1, Fraction(1, 2)]])
+
+
+class TestRecombination:
+    def test_finite_moments_equal_the_fraction_recombination(self):
+        short = 0
+        for n in range(1, 13):
+            for k in range(1, 7):
+                zeroth = keating_snaith(n, k)
+                for two_h in range(2 * k + 1):
+                    P = min(two_h, k * n) if two_h % 2 == 0 else k * n
+                    short += P < two_h and two_h % 2 == 1
+                    expected = fraction_recombine(two_h, n, zeroth, coeff_vector(k, n, P))
+                    assert _recombine(two_h, n, zeroth, coeff_numerators(k, n, P)) == expected, (n, two_h, k)
+                    if two_h == 0:
+                        assert expected == zeroth
+                    elif two_h % 2 == 0:
+                        assert moment_integer_h(n, two_h // 2, k) == expected
+                    else:
+                        assert moment_half_h(n, two_h, k) == ExactScalar(expected)
+        assert short == 9  # n = 1 and odd two_h in (k, 2k]: none at k = 1, then 1, 1, 2, 2, 3
+
+    def test_closed_half_moment_equals_its_fraction_sum(self):
+        for n in range(1, 51):
+            expected = sum((Fraction(2 ** (j + 1) * comb(n + 2, j + 3), n ** (j + 1)) for j in range(n)), Fraction(0))
+            assert half_moment_k1_closed(n) == ExactScalar(expected)
+
+    def test_integer_limits_equal_the_fraction_recombination(self):
+        for k in range(1, 7):
+            for h in range(1, k + 1):
+                expected = fraction_recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_vector(k, 2 * h))
+                assert limit_moment_integer_h(h, k) == expected, (h, k)
+
+    def test_half_limit_equals_the_fraction_stopping_rule_bit_for_bit(self, monkeypatch):
+        calls = []
+
+        def recording(k, P):
+            calls.append((k, P))
+            return limit_coeff_numerators(k, P)
+
+        monkeypatch.setattr(moments, "limit_coeff_numerators", recording)
+        regrown = 0
+        for k in range(1, 7):
+            for two_h in range(1, 2 * k + 1, 2):
+                for tol in (1e-2, 1e-4, 1e-8, 1e-12):
+                    reference_calls = []
+
+                    def vector(k, P):
+                        reference_calls.append((k, P))
+                        return limit_coeff_vector(k, P)
+
+                    terms, value, tail = fraction_limit_half_h(two_h, k, tol, vector, limit_moment_zero(k))
+                    calls.clear()
+                    result = limit_moment_half_h(two_h, k, tol)
+                    assert calls == reference_calls, (two_h, k, tol)
+                    regrown += len(calls) > 1
+                    assert result.terms_used == terms
+                    assert result.value == ExactScalar(value).to_float()
+                    assert result.tail_bound == ExactScalar(tail).to_float()
+        assert regrown  # some cells run past the first vector
+
+    def test_numerators_are_integers_with_a_positive_lead(self):
+        for k in range(1, 7):
+            for n in (1, 2, 7):
+                h = coeff_numerators(k, n, k * n)
+                assert h[0] > 0 and all(type(x) is int for x in h)
+                assert coeff_vector(k, n, k * n) == tuple(Fraction(x, factorial(p) * h[0]) for p, x in enumerate(h))
+            h = limit_coeff_numerators(k, 12)
+            assert h[0] > 0 and all(type(x) is int for x in h)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cue_moments.coefficients import coeff_vector, limit_coeff_vector
+from cue_moments.coefficients import coeff_numerators, limit_coeff_numerators, limit_coeff_vector
 from cue_moments.moments import (
     ExactScalar,
     MomentOrder,
@@ -20,7 +20,7 @@ from cue_moments.moments import (
 )
 from cue_moments.specfun import moment_gen_series
 
-from _brute import keating_snaith_running_product, nearest_float_over_pi
+from _brute import fraction_recombine, keating_snaith_running_product, nearest_float_over_pi
 
 
 class TestMomentOrder:
@@ -107,8 +107,8 @@ class TestIntegerMoments:
     def test_two_h_zero_recombines_to_the_zeroth_moment(self):
         for k in range(1, 5):
             for n in range(1, 9):
-                assert _recombine(0, n, keating_snaith(n, k), coeff_vector(k, n, 0)) == keating_snaith(n, k)
-            assert _recombine(0, 1, limit_moment_zero(k), limit_coeff_vector(k, 0)) == limit_moment_zero(k)
+                assert _recombine(0, n, keating_snaith(n, k), coeff_numerators(k, n, 0)) == keating_snaith(n, k)
+            assert _recombine(0, 1, limit_moment_zero(k), limit_coeff_numerators(k, 0)) == limit_moment_zero(k)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
@@ -187,13 +187,13 @@ class TestLimits:
         assert result.tail_bound <= 1e-10
 
     def test_half_limit_error_within_tail_bound_within_tol(self):
-        # Reference: the same recombination over twice the terms the limit used.
+        # Reference: the Fraction recombination over twice the terms the limit used.
         cells = [(two_h, k, tol) for k in range(1, 6) for two_h in range(1, 2 * k + 1, 2)
                  for tol in (1e-4, 1e-8, 1e-12)]
         for two_h, k, tol in cells + [(11, 6, 1e-12)]:
             result = limit_moment_half_h(two_h, k, tol)
             coeffs = limit_coeff_vector(k, 2 * (two_h + result.terms_used))
-            reference = ExactScalar(_recombine(two_h, 1, limit_moment_zero(k), coeffs)).to_float()
+            reference = ExactScalar(fraction_recombine(two_h, 1, limit_moment_zero(k), coeffs)).to_float()
             assert abs(result.value - reference) <= result.tail_bound <= tol, (two_h, k, tol)
 
     def test_half_limit_rejects(self):
