@@ -9,16 +9,21 @@ G_alpha(x) = sum_m x^m / (m! (m + alpha)!), again det[f^(i+j)] for
 f = G_1(2 zeta) (Conrey, Rubinstein & Snaith, CMP 2006).
 
 :func:`coeff_numerators` and :func:`limit_coeff_numerators` compute these
-determinants at once, fraction-free over integer Hurwitz series (entry j
-is j! times the coefficient of zeta^j) truncated after zeta^P, by
-Sylvester's identity (the condensation behind Bareiss elimination, Math.
-Comp. 1968): with tau_j the j x j Hankel determinant of derivatives of f,
-tau_{j+1} tau_{j-1} = tau_j tau_j'' - tau_j'^2 (Desnanot-Jacobi), so
-k - 1 exact series divisions give tau_k.  They return its integer Hurwitz
-numerators h_0..h_P, signed so that h_0 > 0, with c_p = h_p / (p! h_0);
-these cached integers are what every moment in :mod:`cue_moments.moments`
-recombines.  :func:`coeff_vector` and :func:`limit_coeff_vector` form the
-Fractions c_p from them on each call.
+determinants fraction-free over integer Hurwitz series (entry j is j!
+times the coefficient of zeta^j) by Sylvester's identity (the
+condensation behind Bareiss elimination, Math. Comp. 1968): with u_j the
+j x j Hankel determinant of derivatives of f, signed so that u_j(0) > 0,
+u_{j+1} u_{j-1} = u_j'^2 - u_j u_j'' (Desnanot-Jacobi), so k - 1 exact
+series divisions give u_k.  Its integer Hurwitz numerators h_0..h_P give
+c_p = h_p / (p! h_0); they are what every moment in
+:mod:`cue_moments.moments` recombines.  The condensation is resumable:
+one state per (k, n), and one per k for the limit, keeps u_0..u_k and
+extends each level only as far as a caller asks, so a longer prefix
+costs only its new terms.  The limit's f has rational coefficients,
+made integers by a factorial scale; when f grows, level j is rescaled by
+the j-th power of the scale's growth, since u_j has degree j in f, and
+nothing stored is recomputed.  :func:`coeff_vector` and
+:func:`limit_coeff_vector` form the Fractions c_p on each call.
 
 ``series_coeff(p, k, n)`` and ``series_coeff_limit(p, k)`` are the same
 coefficients as sums over partitions of p into at most k parts.  They stay
@@ -36,23 +41,23 @@ from operator import add, mul
 from .partitions import hook_product, partitions_of, pochhammer
 
 
-def _condense(cur: list[int], prev: list[int]) -> list[int]:
-    """(cur cur'' - cur'^2) / prev, two coefficients shorter than ``cur``.
+def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) -> None:
+    """Extend ``quo`` = (cur'^2 - cur cur'') / prev in place to ``size`` coefficients.
 
     All three are Hurwitz series: entry j is j! times the coefficient of
     zeta^j, so a derivative is a shift, a product is the binomial
     convolution (a b)_j = sum_i C(j, i) a_i b_{j-i}, and the integer series
-    form a ring.  The quotient is known to lie in it, so each coefficient
-    follows from the ones before it by one integer division by prev[0],
-    which must leave no remainder.
+    form a ring.  The quotient is known to lie in it, so entry j follows
+    from quo[:j], cur[:j + 3] and prev[:j + 1] by one integer division by
+    prev[0], which must leave no remainder.
     """
-    quo: list[int] = []
-    row = [1]  # C(j, i) for i = 0..j
-    for j in range(len(cur) - 2):
-        if j:
-            row = [1, *map(add, row, row[1:]), 1]
+    j = len(quo)
+    if j >= size:
+        return
+    row = [comb(j, i) for i in range(j + 1)]
+    while True:
         # cur_x cur_y over x + y = j + 2, each unordered pair {x, y} once; its
-        # weight is the second difference of row j
+        # weight in cur cur'' - cur'^2 is the second difference of row j
         s, h = j + 2, (j + 3) // 2
         pad = [0, 0, *row, 0, 0]
         w = [pad[x + 2] - 2 * pad[x + 1] + pad[x] for x in range(h + 1)]
@@ -60,26 +65,71 @@ def _condense(cur: list[int], prev: list[int]) -> list[int]:
         if s % 2 == 0:
             num += w[h] // 2 * cur[h] ** 2
         known = sum(map(mul, map(mul, row[1:], prev[1 : j + 1]), reversed(quo)))
-        q, r = divmod(num - known, prev[0])
+        q, r = divmod(-num - known, prev[0])
         if r:
             raise ArithmeticError("inexact quotient in the Hankel condensation")
         quo.append(q)
-    return quo
+        j += 1
+        if j == size:
+            return
+        row = [1, *map(add, row, row[1:]), 1]
 
 
-def _hankel_numerators(f: list[int], k: int, size: int) -> tuple[int, ...]:
-    """h_0..h_{size-1} with c_p = h_p / (p! h_0) the coefficients of det[f^(i+j)]_{i,j<k} over its value at 0.
+class _Condensation:
+    """The Hankel determinants u_0..u_k of one integer Hurwitz series f, kept between calls.
 
-    ``f`` is an integer Hurwitz series with at least size + 2(k - 1) terms;
-    each condensation step uses up two of them.  The divisors are the
-    leading j x j determinants, whose values at 0 are zeroth moments of
-    order j < k and so never vanish.  The sign is fixed so that h_0 > 0.
+    u_j = (-1)^(j(j-1)/2) det[f^(a+b)]_{a,b<j}, so u_0 = 1, u_1 = f and,
+    by Desnanot-Jacobi, u_{j+1} u_{j-1} = u_j'^2 - u_j u_j''.  The sign
+    makes u_j(0) > 0 (the tests check it for k <= 16); the divisors u_j(0),
+    j < k, are zeroth moments of order j up to a constant, so never zero.
+    Level j is extended only as far as a caller asks: u_k to P + 1 terms
+    needs u_j to P + 2(k - j) + 1.
+
+    f is L^(1)_{n+k-1}(-2 zeta), with the integer Hurwitz coefficients
+    C(n+k, j+1) 2^j, or, for n None, G_1(2 zeta), whose coefficients
+    2^j / (j + 1)! are scaled to integers by (s + 1)!, s being the last
+    one held.  Growing f to hold up to s' > s multiplies it by
+    r = (s' + 1)! / (s + 1)!; u_j is homogeneous of degree j in f, so each
+    stored level j is multiplied by r^j and no entry is recomputed.
     """
-    prev, cur = [1] + [0] * len(f), f
-    for _ in range(k - 1):
-        prev, cur = cur, _condense(cur, prev)
-    sign = 1 if cur[0] > 0 else -1
-    return tuple(sign * h for h in cur[:size])
+
+    def __init__(self, k: int, n: int | None) -> None:
+        self.k, self.n = k, n
+        self.levels: list[list[int]] = [[1]] + [[] for _ in range(k)]
+
+    def numerators(self, P: int) -> list[int]:
+        """u_k with at least P + 1 terms: the stored level, which later calls extend (and, for n None, rescale)."""
+        k, levels = self.k, self.levels
+        self._grow_f(P + 2 * k - 1)
+        for j in range(2, k + 1):
+            _extend_level(levels[j], levels[j - 1], levels[j - 2], P + 2 * (k - j) + 1)
+        return levels[k]
+
+    def _grow_f(self, size: int) -> None:
+        """Extend f to ``size`` terms; for n None, rescale every level from scale start! to size!.
+
+        The rescaled levels replace the old ones in one assignment, so an
+        interrupted call leaves every level at one scale.
+        """
+        f = self.levels[1]
+        start = len(f)
+        if start >= size:
+            return
+        if self.n is not None:
+            f.extend(comb(self.n + self.k, j + 1) << j for j in range(start, size))
+            return
+        r = perm(size, size - start)
+        grown = [[x * r for x in f] + [perm(size, size - 1 - i) << i for i in range(start, size)]]
+        for j, level in enumerate(self.levels[2:], 2):
+            rj = r ** j
+            grown.append([x * rj for x in level])
+        self.levels[1:] = grown
+
+
+@lru_cache(maxsize=None)
+def _condensation(k: int, n: int | None) -> _Condensation:
+    """The one state per (k, n), n None for the limit."""
+    return _Condensation(k, n)
 
 
 def _ratios(h: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -87,34 +137,26 @@ def _ratios(h: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, factorial(p) * h[0]) for p, x in enumerate(h))
 
 
-@lru_cache(maxsize=None)
 def coeff_numerators(k: int, n: int, P: int) -> tuple[int, ...]:
     """Integer Hurwitz numerators h_0..h_min(P, kn) at size n: c_p = h_p / (p! h_0), h_0 > 0.
 
-    f = L^(1)_{n+k-1}(-2 zeta) has the integer Hurwitz coefficients
-    C(n+k, j+1) 2^j.  Coefficients beyond kn are zero and are not returned.
+    Coefficients beyond kn are zero and are not returned.
     """
     if k < 1 or n < 1 or P < 0:
         raise ValueError(f"need k >= 1, n >= 1, P >= 0, got {(k, n, P)}")
     P = min(P, k * n)
-    f = [comb(n + k, j + 1) << j for j in range(P + 2 * k - 1)]
-    return _hankel_numerators(f, k, P + 1)
+    return tuple(_condensation(k, n).numerators(P)[: P + 1])
 
 
-@lru_cache(maxsize=None)
 def limit_coeff_numerators(k: int, P: int) -> tuple[int, ...]:
     """Integer Hurwitz numerators h_0..h_P of the limiting coefficients: c_p = h_p / (p! h_0), h_0 > 0.
 
-    f = G_1(2 zeta) has the Hurwitz coefficients 2^j / (j + 1)!, scaled
-    here to integers by (s + 1)!, s being the last one used; so the h_p of
-    two calls with different P differ by a constant factor.
+    They carry the scale of the limit state when called, so the h_p of two
+    calls may differ by a constant factor.
     """
     if k < 1 or P < 0:
         raise ValueError(f"need k >= 1 and P >= 0, got {(k, P)}")
-    s = P + 2 * (k - 1)
-    scale = factorial(s + 1)
-    f = [scale // factorial(j + 1) << j for j in range(s + 1)]
-    return _hankel_numerators(f, k, P + 1)
+    return tuple(_condensation(k, None).numerators(P)[: P + 1])
 
 
 def coeff_vector(k: int, n: int, P: int) -> tuple[Fraction, ...]:

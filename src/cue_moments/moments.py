@@ -17,7 +17,8 @@ the one denominator P! n^max(P - two_h, 0) h_0, and the moment becomes a
 Fraction once.  The limit is the same sum at n = 1 over
 :func:`~cue_moments.coefficients.limit_coeff_numerators`, times
 :func:`limit_moment_zero`; for odd two_h a stopping rule picks where the
-prefix ends, and that rule is all that is specific to the limit.
+prefix ends, asking the engine for one more term at a time, and that rule
+is all that is specific to the limit.
 """
 
 from __future__ import annotations
@@ -195,8 +196,9 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
 
     Past p = two_h the inner terms t_p = w_p c_p are positive.  P is the
     first p >= two_h + 2k + 4 with t_p < tol/2 and 2 t_p < t_(p-1), so
-    ``tol`` is compared with inner terms, before the prefactor.  When p runs
-    past the coefficient vector, it is recomputed 1.5 times as long.
+    ``tol`` is compared with inner terms, before the prefactor.  It asks
+    the engine for h_0..h_p one p at a time; the engine's limit state
+    condenses only the terms it does not hold yet.
     """
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
@@ -205,19 +207,17 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
     # t_q = w_q c_q is T_q / (q! h_0) with the integer T_q = _weight(q, two_h, 1, q) h_q, so
-    # t_p < tol/2 and 2 t_p < t_(p-1) compare integers of one vector h.
+    # t_p < tol/2 and 2 t_p < t_(p-1) compare integers of one vector h, at one scale.
     half_tol = Fraction(tol) / 2
     p = two_h + 2 * k + 4
-    h = limit_coeff_numerators(k, p)
     while True:
+        h = limit_coeff_numerators(k, p)
         term, previous = (_weight(q, two_h, 1, q) * h[q] for q in (p, p - 1))
         if term < half_tol * factorial(p) * h[0] and 2 * term < p * previous:
             break
         p += 1
-        if p == len(h):
-            h = limit_coeff_numerators(k, p + p // 2)
 
     zeroth = limit_moment_zero(k)
-    value = ExactScalar(_recombine(two_h, 1, zeroth, h[:p + 1])).to_float()
+    value = ExactScalar(_recombine(two_h, 1, zeroth, h)).to_float()
     tail_bound = ExactScalar(abs(_prefactor(two_h, zeroth)) * Fraction(2 * term, factorial(p) * h[0])).to_float()
     return LimitResult(value=value, tail_bound=tail_bound, terms_used=p - two_h)

@@ -258,6 +258,8 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     """
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
+    if not math.isfinite(zeta):
+        raise ValueError(f"zeta must be finite, got {zeta}")
     z = abs(zeta)
     a, b = z.as_integer_ratio()
     h = coeff_numerators(k, n, k * n)

@@ -9,13 +9,15 @@ factorial form of the hook product is kept beside the box-by-box one,
 written independently of the package's.  The package's exact kernels run
 over integers and reduce to a Fraction once; the Fraction versions they
 replaced (Gaussian elimination, per-term Horner, the Fraction
-recombination and its weights) are kept here as their references.
+recombination and its weights) are kept here as their references, and so
+is the one-shot Hankel condensation that the resumable engine replaced.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, perm
+from operator import add, mul
 from typing import Iterator
 
 
@@ -221,6 +223,57 @@ def fraction_limit_half_h(two_h: int, k: int, tol: float, coeff_vector, zeroth) 
         previous, term = term, fraction_weight(p, two_h, 1) * coeffs[p]
     value = fraction_recombine(two_h, 1, zeroth, coeffs[:p + 1])
     return p - two_h, value, abs(fraction_prefactor(two_h, zeroth)) * 2 * term
+
+
+def one_shot_condense(cur: list[int], prev: list[int]) -> list[int]:
+    """(cur cur'' - cur'^2) / prev over integer Hurwitz series, two coefficients shorter than ``cur``.
+
+    Entry j is j! times the coefficient of zeta^j, so a product is the
+    binomial convolution; each quotient coefficient is one integer division
+    by prev[0], which must leave no remainder.
+    """
+    quo: list[int] = []
+    row = [1]  # C(j, i) for i = 0..j
+    for j in range(len(cur) - 2):
+        if j:
+            row = [1, *map(add, row, row[1:]), 1]
+        # cur_x cur_y over x + y = j + 2, each unordered pair {x, y} once; its
+        # weight is the second difference of row j
+        s, h = j + 2, (j + 3) // 2
+        pad = [0, 0, *row, 0, 0]
+        w = [pad[x + 2] - 2 * pad[x + 1] + pad[x] for x in range(h + 1)]
+        num = sum(map(mul, cur[:h], map(mul, w, cur[s : s - h : -1])))
+        if s % 2 == 0:
+            num += w[h] // 2 * cur[h] ** 2
+        known = sum(map(mul, map(mul, row[1:], prev[1 : j + 1]), reversed(quo)))
+        q, r = divmod(num - known, prev[0])
+        if r:
+            raise ArithmeticError("inexact quotient in the Hankel condensation")
+        quo.append(q)
+    return quo
+
+
+def one_shot_numerators(f: list[int], k: int, size: int) -> tuple[int, ...]:
+    """h_0..h_{size-1} of det[f^(i+j)]_{i,j<k}, condensed in one pass and signed so that h_0 > 0.
+
+    ``f`` needs at least size + 2(k - 1) terms.
+    """
+    prev, cur = [1] + [0] * len(f), f
+    for _ in range(k - 1):
+        prev, cur = cur, one_shot_condense(cur, prev)
+    sign = 1 if cur[0] > 0 else -1
+    return tuple(sign * h for h in cur[:size])
+
+
+def one_shot_coeff_numerators(k: int, n: int, P: int) -> tuple[int, ...]:
+    """h_0..h_P at size n from f = L^(1)_{n+k-1}(-2 zeta), Hurwitz coefficients C(n+k, j+1) 2^j."""
+    return one_shot_numerators([comb(n + k, j + 1) << j for j in range(P + 2 * k - 1)], k, P + 1)
+
+
+def one_shot_limit_numerators(k: int, P: int) -> tuple[int, ...]:
+    """h_0..h_P of the limit from f = G_1(2 zeta), Hurwitz coefficients 2^j / (j+1)! times (s+1)!, s = P + 2(k-1)."""
+    s = P + 2 * (k - 1)
+    return one_shot_numerators([factorial(s + 1) // factorial(j + 1) << j for j in range(s + 1)], k, P + 1)
 
 
 def lagrange_interpolate(points: list[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:

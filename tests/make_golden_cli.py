@@ -51,13 +51,16 @@ COMMANDS = (
     ("limit", "--two-h", "7", "--k", "4", "--tol", "1e-8"),
     ("limit", "--two-h", "9", "--k", "5", "--tol", "1e-12"),
     ("limit", "--two-h", "11", "--k", "6", "--tol", "1e-12"),
-    # 83 terms past a 17-term floor: runs the 1.5x regrowth of the coefficient vector.
+    # 83 terms past a 17-term floor: the halving test, not tol, stops it, here and at 1e-12.
     ("limit", "--two-h", "1", "--k", "6", "--tol", "1e-6"),
     # Tight tolerances pin where the stopping rule lands deep in the tail;
-    # 1e-300 regrows the coefficient vector eight times.
+    # at 1e-300 it runs 189 terms.
     ("limit", "--two-h", "11", "--k", "6", "--tol", "1e-20"),
     ("limit", "--two-h", "9", "--k", "5", "--tol", "1e-20"),
     ("limit", "--two-h", "1", "--k", "1", "--tol", "1e-300"),
+    ("limit", "--two-h", "1", "--k", "6", "--tol", "1e-12"),
+    ("limit", "--two-h", "13", "--k", "7", "--tol", "1e-12"),
+    ("limit", "--two-h", "1", "--k", "5", "--tol", "1e-20"),
     ("table", "--n", "1,2,3", "--two-h", "0,1,3", "--k", "1,2"),
     ("table", "--n", ",", "--two-h", "0", "--k", "1"),
     ("mc", "--n", "3", "--two-h", "2", "--k", "1", "--trials", "2000", "--seed", "7"),

@@ -6,8 +6,10 @@ from math import comb, factorial
 
 import pytest
 
-from cue_moments import moments
 from cue_moments.coefficients import (
+    _Condensation,
+    _condensation,
+    _ratios,
     coeff_numerators,
     coeff_vector,
     limit_coeff_numerators,
@@ -42,6 +44,8 @@ from _brute import (
     fraction_recombine,
     hankel_route,
     laguerre_terms,
+    one_shot_coeff_numerators,
+    one_shot_limit_numerators,
     wronskian_route,
 )
 
@@ -117,6 +121,54 @@ class TestBareiss:
             _bareiss([[1, 1], [1, Fraction(1, 2)]])
 
 
+def extension_orders(top: int, seed: int) -> tuple[list[int], ...]:
+    """P = 0..top ascending, descending and in a seeded random order."""
+    shuffled = list(range(top + 1))
+    random.Random(seed).shuffle(shuffled)
+    return list(range(top + 1)), list(range(top, -1, -1)), shuffled
+
+
+class TestResumableCondensation:
+    """The engine's states, extended in any order, against the one-shot condensation (kept in ``_brute``)."""
+
+    def test_finite_states_equal_the_one_shot_tuples(self):
+        for k in range(1, 7):
+            for n in range(1, 11):
+                expected = [one_shot_coeff_numerators(k, n, P) for P in range(k * n + 1)]
+                for order in extension_orders(k * n, seed=100 * k + n):
+                    state = _Condensation(k, n)
+                    for P in order:
+                        assert tuple(state.numerators(P)[: P + 1]) == expected[P], (k, n, P)
+
+    def test_limit_states_equal_the_one_shot_ratios_across_rescales(self):
+        for k in range(1, 7):
+            expected = [one_shot_limit_numerators(k, P) for P in range(61)]
+            # Each new largest P rescales the state: every step of the ascending order does.
+            for order in extension_orders(60, seed=k):
+                state, reached = _Condensation(k, None), 0
+                for P in order:
+                    reached = max(reached, P)
+                    h = tuple(state.numerators(P)[: P + 1])
+                    assert _ratios(h) == _ratios(expected[P]), (k, P)
+                    # Rescaled by degree, the state holds the one-shot integers at its own scale.
+                    assert h == expected[reached][: P + 1], (k, P)
+
+    def test_every_level_leads_with_a_positive_value(self):
+        for k in range(1, 17):
+            for n in (None, 1, 2, 3, 7, 20):
+                state = _Condensation(k, n)
+                state.numerators(0)
+                assert all(level[0] > 0 for level in state.levels), (k, n)
+
+    def test_a_corrupted_stored_entry_fails_an_exact_division(self):
+        for n in (3, None):
+            state = _Condensation(4, n)
+            state.numerators(6)
+            state.levels[2][3] += 1
+            with pytest.raises(ArithmeticError, match="inexact quotient"):
+                state.numerators(12)
+
+
 class TestRecombination:
     def test_finite_moments_equal_the_fraction_recombination(self):
         short = 0
@@ -147,33 +199,18 @@ class TestRecombination:
                 expected = fraction_recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_vector(k, 2 * h))
                 assert limit_moment_integer_h(h, k) == expected, (h, k)
 
-    def test_half_limit_equals_the_fraction_stopping_rule_bit_for_bit(self, monkeypatch):
-        calls = []
-
-        def recording(k, P):
-            calls.append((k, P))
-            return limit_coeff_numerators(k, P)
-
-        monkeypatch.setattr(moments, "limit_coeff_numerators", recording)
-        regrown = 0
+    def test_half_limit_equals_the_fraction_stopping_rule_bit_for_bit(self):
         for k in range(1, 7):
             for two_h in range(1, 2 * k + 1, 2):
                 for tol in (1e-2, 1e-4, 1e-8, 1e-12):
-                    reference_calls = []
-
-                    def vector(k, P):
-                        reference_calls.append((k, P))
-                        return limit_coeff_vector(k, P)
-
-                    terms, value, tail = fraction_limit_half_h(two_h, k, tol, vector, limit_moment_zero(k))
-                    calls.clear()
+                    terms, value, tail = fraction_limit_half_h(two_h, k, tol, limit_coeff_vector, limit_moment_zero(k))
+                    _condensation.cache_clear()
                     result = limit_moment_half_h(two_h, k, tol)
-                    assert calls == reference_calls, (two_h, k, tol)
-                    regrown += len(calls) > 1
+                    # A fresh limit state condenses exactly the numerators the stopping rule reads.
+                    assert len(_condensation(k, None).levels[k]) == two_h + result.terms_used + 1
                     assert result.terms_used == terms
                     assert result.value == ExactScalar(value).to_float()
                     assert result.tail_bound == ExactScalar(tail).to_float()
-        assert regrown  # some cells run past the first vector
 
     def test_numerators_are_integers_with_a_positive_lead(self):
         for k in range(1, 7):

@@ -339,3 +339,12 @@ class TestQuadrature:
             quad_moment_integral(1, 1.0, 1, 0.0)
         with pytest.raises(ValueError, match="tol"):
             quad_moment_integral(1, 1.0, 1, float("inf"))
+
+    def test_closed_form_rejects_a_non_finite_zeta_like_quad(self):
+        # inf and nan once reached float.as_integer_ratio, which raised OverflowError and ValueError.
+        for zeta in (math.inf, -math.inf, math.nan):
+            message = f"^zeta must be finite, got {zeta}$"
+            with pytest.raises(ValueError, match=message):
+                closed_form_moment_integral(1, zeta, 1)
+            with pytest.raises(ValueError, match=message):
+                quad_moment_integral(1, zeta, 1, 1e-8)
