@@ -8,8 +8,8 @@ quadrature of the defining integral, and Monte Carlo over Haar-random
 unitaries.
 
 The top level exports the user API.  Oracles and identity helpers
-(partition sums, Laguerre polynomials, closed forms) are imported from
-their own modules.
+(partition sums, reduced-polynomial routes, closed forms) are imported
+from their own modules.
 """
 
 from .coefficients import coeff_vector, limit_coeff_vector

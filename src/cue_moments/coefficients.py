@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm, prod
 from operator import add, mul
+from typing import Sequence
 
 from .partitions import hook_product, partitions_of, pochhammer
 
@@ -176,6 +177,9 @@ def limit_coeff_vector(k: int, P: int) -> tuple[Fraction, ...]:
 def _partition_sum(p: int, k: int, n: int | None) -> Fraction:
     """Sum of [k] [-n] / ([2k] h^2) over partitions of p into at most k parts ([-n] left out if n is None).
 
+    With n given only partitions inside the k x n box are summed: a part
+    above n makes [-n] zero.
+
     One Fraction for the whole sum: each term is scaled by (p!)^2, so 1/h^2
     becomes the integer f^2 = (p!/h)^2, and brought over the common multiple
     prod_{i<=k} perm(2k - i + p, p) of the [2k] symbols (row i of [2k],
@@ -184,11 +188,10 @@ def _partition_sum(p: int, k: int, n: int | None) -> Fraction:
     fp = factorial(p)
     common = prod(perm(2 * k - i + p, p) for i in range(1, k + 1))
     total = 0
-    for lam in partitions_of(p, k):
+    for lam in partitions_of(p, k, n):
         numer = pochhammer(k, lam) if n is None else pochhammer(k, lam) * pochhammer(-n, lam)
-        if numer:
-            f = fp // hook_product(lam)
-            total += numer * f * f * (common // pochhammer(2 * k, lam))
+        f = fp // hook_product(lam)
+        total += numer * f * f * (common // pochhammer(2 * k, lam))
     return Fraction(total, fp * fp * common)
 
 
@@ -196,14 +199,11 @@ def _partition_sum(p: int, k: int, n: int | None) -> Fraction:
 def series_coeff(p: int, k: int, n: int) -> Fraction:
     """Finite-size coefficient as a partition sum: (-2)^p sum of [k][-n] / ([2k] h^2).
 
-    The sum runs over partitions of p into at most k parts.  Returns 0 when
-    p > k*n: every admissible partition would need a part larger than n,
-    which kills the [-n] factor.
+    The sum runs over partitions of p into at most k parts of size at
+    most n, so it is 0 when p > k*n.
     """
     if p < 0 or k < 1 or n < 1:
         raise ValueError(f"need p >= 0, k >= 1, n >= 1, got {(p, k, n)}")
-    if p > k * n:
-        return Fraction(0)
     return (-2) ** p * _partition_sum(p, k, n)
 
 
@@ -247,20 +247,17 @@ def series_coeff_bound(p: int, k: int, n: int) -> Fraction:
     )
 
 
-def binomial_residual(two_h: int, k: int, n: int) -> Fraction:
-    """Alternating binomial-weighted sum of finite-size coefficients.
+def binomial_residual(two_h: int, n: int, coeffs: Sequence[Fraction]) -> Fraction:
+    """Alternating binomial-weighted sum of the size-n coefficients c_p = ``coeffs[p]``, p <= two_h.
 
-    Identically zero for odd two_h with two_h <= 2k; computing it is an
-    exact self-check of the coefficient machinery.
+    Identically zero for odd two_h <= 2k, so running it on the engine's
+    vector and on the partition sums checks both; entries beyond the
+    vector, past p = kn, are zero.
     """
     if two_h < 1 or two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
-    if two_h > 2 * k:
-        raise ValueError(f"need two_h <= 2k, got two_h={two_h}, k={k}")
-    total = Fraction(0)
-    for p in range(two_h + 1):
-        total += comb(two_h, p) * series_coeff(p, k, n) * Fraction(factorial(p), (-n) ** p)
-    return total
+    return sum((comb(two_h, p) * c * Fraction(factorial(p), (-n) ** p) for p, c in enumerate(coeffs[: two_h + 1])),
+               Fraction(0))
 
 
 def hook_content_sum(p: int, k: int) -> Fraction:
@@ -278,28 +275,3 @@ def hook_content_sum(p: int, k: int) -> Fraction:
             f = fp // hook_product(lam)
             total += content * f * f
     return Fraction(total, fp * fp)
-
-
-def alternating_binomial_sum(p: int, n: int) -> int:
-    """Alternating product-of-binomials sum; equals 1 whenever p >= n + 1."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if p <= n:
-        raise ValueError(f"need p >= n + 1, got p={p}, n={n}")
-    return sum((-1) ** ell * comb(p, n - ell) * comb(p - n + ell - 1, ell) for ell in range(n + 1))
-
-
-def two_row_partition_sum(p: int) -> Fraction:
-    """Factorial sum over two-row partition shapes underlying the k=2 closed form.
-
-    Equals 2 * binom(2p+4, p) / ((p+2)! (p+3)!).
-    """
-    if p < 0:
-        raise ValueError(f"need p >= 0, got {p}")
-    total = Fraction(0)
-    for x in range(p + 2):
-        total += Fraction(
-            (p - 2 * x + 1) ** 2,
-            factorial(x) * factorial(x + 2) * factorial(p - x + 3) * factorial(p - x + 1),
-        )
-    return total

@@ -191,6 +191,24 @@ def limit_moment_integer_h(h: int, k: int) -> Fraction:
     return _recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_numerators(k, 2 * h))
 
 
+def _majorant_terms(two_h: int, k: int, tol: float) -> int:
+    """The a priori P of the proven majorant B_p = m! (p - m - 1)! (2k^2)^p / (p!)^2 of t_p, m = two_h.
+
+    B_(p+1) / B_p = r_p = 2k^2 (p - m) / (p + 1)^2 decreases past p = 2m + 1,
+    so the tail past P is at most B_(P+1) / (1 - r_(P+1)) once r_(P+1) < 1.
+    P is the least p > 2m + 1 where that bound is below tol/2, found in floats.
+    """
+    s, log_half_tol = 2 * k * k, math.log(tol) - math.log(2)
+    p = 2 * two_h + 2
+    log_b = math.lgamma(two_h + 1) + math.lgamma(p - two_h + 1) + (p + 1) * math.log(s) - 2 * math.lgamma(p + 2)
+    while True:  # log_b is log B_(p+1), r is r_(p+1)
+        r = s * (p + 1 - two_h) / (p + 2) ** 2
+        if r < 1 and log_b - math.log1p(-r) < log_half_tol:
+            return p
+        log_b += math.log(r)
+        p += 1
+
+
 def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     """Scaled limit of the half-integer moment: the recombination at n = 1 up to c_P.
 
@@ -198,7 +216,9 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     first p >= two_h + 2k + 4 with t_p < tol/2 and 2 t_p < t_(p-1), so
     ``tol`` is compared with inner terms, before the prefactor.  It asks
     the engine for h_0..h_p one p at a time; the engine's limit state
-    condenses only the terms it does not hold yet.
+    condenses only the terms it does not hold yet.  A rule still unmet at
+    twice the larger of that floor and the majorant's a priori P means a
+    wrong engine, and raises ArithmeticError.
     """
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
@@ -210,12 +230,15 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     # t_p < tol/2 and 2 t_p < t_(p-1) compare integers of one vector h, at one scale.
     half_tol = Fraction(tol) / 2
     p = two_h + 2 * k + 4
+    cap = 2 * max(p, _majorant_terms(two_h, k, tol))
     while True:
         h = limit_coeff_numerators(k, p)
         term, previous = (_weight(q, two_h, 1, q) * h[q] for q in (p, p - 1))
         if term < half_tol * factorial(p) * h[0] and 2 * term < p * previous:
             break
         p += 1
+        if p > cap:
+            raise ArithmeticError(f"the half-integer limit did not settle by term {cap}")
 
     zeroth = limit_moment_zero(k)
     value = ExactScalar(_recombine(two_h, 1, zeroth, h)).to_float()

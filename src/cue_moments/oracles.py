@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coefficients import coeff_numerators
-from .moments import DECIMAL_CONTEXT, DECIMAL_PI, MomentOrder, keating_snaith
+from .moments import DECIMAL_CONTEXT, DECIMAL_PI, MomentOrder
+from .specfun import moment_gen_engine
 
 # Trials drawn, reduced and folded into the running mean and variance at a
 # time: _MC_BATCH, or fewer above n = 512 so that a batch of about 2n doubles
@@ -248,28 +248,17 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float) -> float:
 def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     """The same integral reconstituted from the exact reduced polynomial.
 
-    The reduced polynomial is keating_snaith(n, k) sum_p c_p |zeta|^p with
-    the coefficients c_p = h_p / (p! h_0) of the production engine
-    :func:`~cue_moments.coefficients.coeff_numerators`, the ones every exact
-    moment uses; at |zeta| = a/b the sum is the integer sum_p h_p (P!/p!)
-    a^p b^(P-p) over P! h_0 b^P.  Its product with pi^n n! 2^(-(n+2k-1)n)
-    e^(-n|zeta|) is formed in a 40-digit decimal context where nothing
-    overflows or underflows, and rounded to a float once.
+    The reduced polynomial is :func:`~cue_moments.specfun.moment_gen_engine`
+    at the exact rational |zeta|: the zeroth moment times sum_p c_p |zeta|^p
+    over the production engine's coefficients, the ones every exact moment
+    uses.  Its product with pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) is formed in
+    a 40-digit decimal context where nothing overflows or underflows, and
+    rounded to a float once.
     """
-    if k < 1 or n < 1:
-        raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
     if not math.isfinite(zeta):
         raise ValueError(f"zeta must be finite, got {zeta}")
     z = abs(zeta)
-    a, b = z.as_integer_ratio()
-    h = coeff_numerators(k, n, k * n)
-    P = len(h) - 1
-    series, bpow = 0, 1
-    for p in range(P, -1, -1):
-        series = series * a + h[p] * math.perm(P, P - p) * bpow
-        bpow *= b
-    zeroth = keating_snaith(n, k)
-    exact = Fraction(zeroth.numerator * series, zeroth.denominator * math.factorial(P) * h[0] * b ** P)
+    exact = moment_gen_engine(k, n, Fraction(z))
     with localcontext(DECIMAL_CONTEXT):
         return float(Decimal(exact.numerator) / exact.denominator * DECIMAL_PI ** n * math.factorial(n)
                      * (-n * Decimal(z)).exp() / Decimal(2) ** ((n + 2 * k - 1) * n))

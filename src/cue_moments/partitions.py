@@ -36,8 +36,8 @@ def _partitions(total: int, max_parts: int, max_part: int) -> tuple[Partition, .
     )
 
 
-def partitions_of(p: int, max_parts: int) -> tuple[Partition, ...]:
-    """All partitions of ``p`` into at most ``max_parts`` parts.
+def partitions_of(p: int, max_parts: int, max_part: int | None = None) -> tuple[Partition, ...]:
+    """All partitions of ``p`` into at most ``max_parts`` parts, each at most ``max_part`` if given.
 
     Returned in reverse-lexicographic order, so ``(4,)`` precedes
     ``(3, 1)`` precedes ``(2, 2)``.  ``p = 0`` yields the singleton empty
@@ -47,7 +47,9 @@ def partitions_of(p: int, max_parts: int) -> tuple[Partition, ...]:
         raise ValueError(f"p must be non-negative, got {p}")
     if max_parts < 1:
         raise ValueError(f"max_parts must be positive, got {max_parts}")
-    return _partitions(p, max_parts, p)
+    if max_part is not None and max_part < 1:
+        raise ValueError(f"max_part must be positive, got {max_part}")
+    return _partitions(p, max_parts, p if max_part is None else min(p, max_part))
 
 
 def transpose(lam: Partition) -> Partition:

@@ -1,4 +1,4 @@
-"""Exact Laguerre polynomials and three routes to the reduced moment polynomial.
+"""Four routes to the reduced moment polynomial, one of them the production engine.
 
 The reduced moment polynomial of order k at matrix size n is the degree
 k*n polynomial in zeta obtained from the Fourier-weighted moment integral
@@ -6,24 +6,18 @@ after stripping its common transcendental prefactor
 pi^n n! 2^(-(n+2k-1)n) e^(-n zeta).  It can be evaluated three independent
 ways: as a Wronskian of Laguerre polynomials, as a Hankel determinant
 without derivatives, and as a terminating series in zeta weighted by the
-partition-sum coefficients.  All three must agree exactly, which is the
-backbone of this package's verification suite.
+partition-sum coefficients (``series_coeff``).  The fourth route,
+:func:`moment_gen_engine`, is the series over the coefficients of
+:func:`~cue_moments.coefficients.coeff_numerators`, the engine every
+printed moment and the quadrature's closed form use; the three-route
+identity holds it to the other three, none of which uses the engine.
 
-These routes evaluate the polynomial at one point at a time and serve as
-checks.  The moments themselves take the whole coefficient vector from the
-determinant engine in :mod:`cue_moments.coefficients`; the series route
-here keeps the partition sums (``series_coeff``), so the three-route
-identity compares the determinants with an independent route rather than
-with the engine.
-
-All three run over integers and reduce to a Fraction once, at the end.
+All four run over integers and reduce to a Fraction once, at the end.
 The Wronskian and Hankel routes use the integer polynomials m! L_m^(alpha),
 valued at t = p/q by homogeneous Horner (q^m times the value), and take
 their determinants by fraction-free Bareiss elimination; the Wronskian
 still differentiates the coefficient sequences symbolically.  The series
-route brings the partition-sum coefficients over their least common
-denominator.  The public helpers accept Fraction coefficients too: they
-clear a polynomial's denominators once and run the same integer kernels.
+routes sum integer coefficients over one common denominator.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 from typing import Sequence
 
-from .coefficients import series_coeff
+from .coefficients import coeff_numerators, series_coeff
 from .moments import keating_snaith
 
 Rational = int | Fraction
@@ -47,17 +41,7 @@ def _scaled_laguerre(n: int, alpha: int) -> tuple[int, ...]:
     return tuple((-1) ** j * comb(n + alpha, n - j) * perm(n, n - j) for j in range(n + 1))
 
 
-def laguerre(n: int, alpha: int) -> tuple[Fraction, ...]:
-    """Coefficients of the Laguerre polynomial of degree n and integer parameter alpha.
-
-    Entry j is the coefficient of t^j, binom(n + alpha, n - j) (-1)^j / j!.
-    Requires n >= 0 and n + alpha >= 0 so the binomial coefficients are
-    well defined.
-    """
-    return tuple(Fraction(c, factorial(n)) for c in _scaled_laguerre(n, alpha))
-
-
-def _cleared(coeffs: Sequence[Rational]) -> tuple[list[int], int]:
+def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     """(d coeffs, d) for the least d >= 1 that makes every coefficient an integer."""
     d = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (d // c.denominator) for c in coeffs], d
@@ -72,19 +56,8 @@ def _horner(coeffs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def laguerre_eval(coeffs: Sequence[Rational], t: Rational) -> Fraction:
-    """Exact value at t of the polynomial with t^j coefficient ``coeffs[j]``.
-
-    The denominators are cleared once, Horner's rule runs over integers at
-    t = p/q, and the one Fraction is formed at the end.
-    """
-    t = Fraction(t)
-    ints, d = _cleared(coeffs)
-    return Fraction(_horner(ints, t.numerator, t.denominator), d * t.denominator ** max(len(ints) - 1, 0))
-
-
-def derivative_coeffs(coeffs: Sequence[Rational]) -> tuple[Rational, ...]:
-    """Coefficient sequence of the derivative; the zero polynomial is (0,).  Integer input stays integer."""
+def derivative_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """Coefficient sequence of the derivative; the zero polynomial is (0,)."""
     if len(coeffs) <= 1:
         return (0,)
     return tuple((j + 1) * c for j, c in enumerate(coeffs[1:]))
@@ -118,36 +91,23 @@ def _bareiss(matrix: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def _wronskian(polys: Sequence[Sequence[Rational]], t: Rational) -> tuple[int, int]:
-    """(numerator, denominator) of the Wronskian at t, both integers.
+def _wronskian(polys: Sequence[Sequence[int]], t: Fraction) -> tuple[int, int]:
+    """(numerator, denominator) of the Wronskian of integer polynomials at t = p/q.
 
-    Column i is scaled by the denominator that clears polynomial i and row j
-    by q^(its top degree), so the matrix is an integer one.
+    Row j holds the j-th derivatives, taken symbolically on the coefficient
+    sequences, and is scaled by q^(its top degree), so the matrix is an
+    integer one.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
-    t = Fraction(t)
     p, q = t.numerator, t.denominator
-    cleared = [_cleared(c) for c in polys]
-    rows = [c for c, _ in cleared]
-    scale = prod(d for _, d in cleared)
-    matrix = []
+    rows, scale, matrix = polys, 1, []
     for _ in range(len(polys)):
         top = max(map(len, rows))
         matrix.append([_horner(c, p, q) * q ** (top - len(c)) for c in rows])
         scale *= q ** (top - 1)
         rows = [derivative_coeffs(c) for c in rows]
     return _bareiss(matrix), scale
-
-
-def wronskian_at(polys: Sequence[Sequence[Rational]], t: Rational) -> Fraction:
-    """Wronskian determinant of the coefficient sequences' polynomials, evaluated exactly at t.
-
-    Row j holds the j-th derivatives, computed symbolically on the
-    coefficient sequences, never by finite differences.  The determinant is
-    taken over integers and reduced to a Fraction once.
-    """
-    return Fraction(*_wronskian(polys, t))
 
 
 def _check_args(k: int, n: int, zeta: Rational) -> Fraction:
@@ -196,16 +156,32 @@ def moment_gen_hankel(k: int, n: int, zeta: Rational) -> Fraction:
     return Fraction(sign * _bareiss(matrix), (factorial(top) * q ** top) ** k)
 
 
-def moment_gen_series(k: int, n: int, zeta: Rational) -> Fraction:
-    """Reduced moment polynomial as a terminating series in zeta.
-
-    Equals the zeroth moment times the sum of series_coeff(p, k, n) zeta^p
-    for p up to k*n.  At zeta = 0 only the p = 0 term survives.  The sum
-    runs over integers, brought over the least common denominator of the
-    coefficients and evaluated by homogeneous Horner at zeta = a/b.
-    """
-    zeta = _check_args(k, n, zeta)
-    ints, d = _cleared([series_coeff(p, k, n) for p in range(k * n + 1)])
+def _series(k: int, n: int, zeta: Fraction, ints: Sequence[int], d: int) -> Fraction:
+    """The zeroth moment times sum_p ints[p] zeta^p / d, p <= k*n, by homogeneous Horner at zeta = a/b."""
     a, b = zeta.numerator, zeta.denominator
     zeroth = keating_snaith(n, k)
     return Fraction(zeroth.numerator * _horner(ints, a, b), zeroth.denominator * d * b ** (k * n))
+
+
+def moment_gen_series(k: int, n: int, zeta: Rational) -> Fraction:
+    """Reduced moment polynomial as a terminating series over the partition sums.
+
+    Equals the zeroth moment times the sum of series_coeff(p, k, n) zeta^p
+    for p up to k*n, brought over the least common denominator of the
+    coefficients.  At zeta = 0 only the p = 0 term survives.
+    """
+    zeta = _check_args(k, n, zeta)
+    return _series(k, n, zeta, *_cleared([series_coeff(p, k, n) for p in range(k * n + 1)]))
+
+
+def moment_gen_engine(k: int, n: int, zeta: Rational) -> Fraction:
+    """Reduced moment polynomial from the production engine, the series over c_p = h_p / (p! h_0).
+
+    The h_p are ``coeff_numerators(k, n, k*n)``, the numerators every
+    printed moment recombines; with P = k*n the integer sum over
+    h_p P!/p! is divided once by P! h_0.
+    """
+    zeta = _check_args(k, n, zeta)
+    P = k * n
+    h = coeff_numerators(k, n, P)
+    return _series(k, n, zeta, [x * perm(P, P - p) for p, x in enumerate(h)], factorial(P) * h[0])

@@ -11,6 +11,8 @@ over integers and reduce to a Fraction once; the Fraction versions they
 replaced (Gaussian elimination, per-term Horner, the Fraction
 recombination and its weights) are kept here as their references, and so
 is the one-shot Hankel condensation that the resumable engine replaced.
+Two appendix identities that no computed value depends on close the
+file; the coefficient tests check them.
 """
 
 from __future__ import annotations
@@ -160,15 +162,20 @@ def _route_sign(k: int) -> int:
     return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
-def wronskian_route(k: int, n: int, zeta) -> Fraction:
-    """(-1)^(k(k-1)/2) W(L_n^(k), ..., L_{n+k-1}^(k))(-2 zeta) in Fractions throughout."""
-    t = -2 * Fraction(zeta)
-    rows = [laguerre_terms(n + i, k) for i in range(k)]
-    matrix = []
-    for _ in range(k):
+def fraction_wronskian(polys, t) -> Fraction:
+    """Wronskian of the coefficient sequences' polynomials at t, in Fractions throughout."""
+    if not polys:
+        raise ValueError("need at least one polynomial")
+    rows, matrix = polys, []
+    for _ in range(len(polys)):
         matrix.append([fraction_horner(c, t) for c in rows])
         rows = [_fraction_derivative(c) for c in rows]
-    return _route_sign(k) * fraction_det(matrix)
+    return fraction_det(matrix)
+
+
+def wronskian_route(k: int, n: int, zeta) -> Fraction:
+    """(-1)^(k(k-1)/2) W(L_n^(k), ..., L_{n+k-1}^(k))(-2 zeta) in Fractions throughout."""
+    return _route_sign(k) * fraction_wronskian([laguerre_terms(n + i, k) for i in range(k)], -2 * Fraction(zeta))
 
 
 def hankel_route(k: int, n: int, zeta) -> Fraction:
@@ -352,3 +359,28 @@ def decimal_15g(q: Fraction, over_pi: bool = False) -> str:
         return f"{sign}0.{'0' * (-e - 1)}{digits}"
     whole, frac = digits[: e + 1].ljust(e + 1, "0"), digits[e + 1:]
     return f"{sign}{whole}{'.' if frac else ''}{frac}"
+
+
+def alternating_binomial_sum(p: int, n: int) -> int:
+    """Alternating product-of-binomials sum; equals 1 whenever p >= n + 1."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if p <= n:
+        raise ValueError(f"need p >= n + 1, got p={p}, n={n}")
+    return sum((-1) ** ell * comb(p, n - ell) * comb(p - n + ell - 1, ell) for ell in range(n + 1))
+
+
+def two_row_partition_sum(p: int) -> Fraction:
+    """Factorial sum over two-row partition shapes underlying the k=2 closed form.
+
+    Equals 2 * binom(2p+4, p) / ((p+2)! (p+3)!).
+    """
+    if p < 0:
+        raise ValueError(f"need p >= 0, got {p}")
+    total = Fraction(0)
+    for x in range(p + 2):
+        total += Fraction(
+            (p - 2 * x + 1) ** 2,
+            factorial(x) * factorial(x + 2) * factorial(p - x + 3) * factorial(p - x + 1),
+        )
+    return total

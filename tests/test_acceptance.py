@@ -9,14 +9,13 @@ import time
 from fractions import Fraction
 
 from cue_moments.coefficients import (
-    alternating_binomial_sum,
     binomial_residual,
+    coeff_vector,
     hook_content_sum,
     series_coeff,
     series_coeff_bound,
     series_coeff_closed,
     series_coeff_limit,
-    two_row_partition_sum,
 )
 from cue_moments.moments import (
     half_moment_k1_closed,
@@ -28,7 +27,9 @@ from cue_moments.moments import (
 )
 from cue_moments.oracles import closed_form_moment_integral, mc_moment, quad_moment_integral
 from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
-from cue_moments.specfun import moment_gen_hankel, moment_gen_series, moment_gen_wronskian
+from cue_moments.specfun import moment_gen_engine, moment_gen_hankel, moment_gen_series, moment_gen_wronskian
+
+from _brute import alternating_binomial_sum, two_row_partition_sum
 
 MC_SEED = 2026
 MC_RETRY_SEED = 2027
@@ -106,13 +107,13 @@ def test_criterion_5_three_route_identity():
         for n in range(1, 9):
             for z in zetas:
                 w = moment_gen_wronskian(k, n, z)
-                ok = ok and w == moment_gen_hankel(k, n, z) == moment_gen_series(k, n, z)
+                ok = ok and w == moment_gen_hankel(k, n, z) == moment_gen_series(k, n, z) == moment_gen_engine(k, n, z)
                 checks += 1
     elapsed = time.perf_counter() - start
     report(
         5,
         ok and elapsed < 60.0,
-        f"Wronskian = Hankel = series exactly on {checks} cells (k <= 4, n <= 8, 4 zetas), "
+        f"Wronskian = Hankel = series = engine exactly on {checks} cells (k <= 4, n <= 8, 4 zetas), "
         f"runtime {elapsed:.2f}s < 60s",
     )
 
@@ -173,7 +174,8 @@ def test_criterion_8_identity_suites():
             if two_h > 2 * k:
                 continue
             for n in range(1, 11):
-                ok = ok and binomial_residual(two_h, k, n) == 0
+                ok = ok and binomial_residual(two_h, n, coeff_vector(k, n, two_h)) == 0
+                ok = ok and binomial_residual(two_h, n, [series_coeff(p, k, n) for p in range(two_h + 1)]) == 0
 
     for p in range(21):
         for k in (1, 2, 3, 4):

@@ -4,7 +4,6 @@ from math import comb, factorial
 import pytest
 
 from cue_moments.coefficients import (
-    alternating_binomial_sum,
     binomial_residual,
     coeff_vector,
     hook_content_sum,
@@ -13,11 +12,10 @@ from cue_moments.coefficients import (
     series_coeff_bound,
     series_coeff_closed,
     series_coeff_limit,
-    two_row_partition_sum,
 )
 from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
 
-from _brute import hook_content_terms, series_coeff_terms
+from _brute import alternating_binomial_sum, hook_content_terms, series_coeff_terms, two_row_partition_sum
 
 
 class TestSeriesCoeff:
@@ -171,9 +169,12 @@ class TestBound:
 class TestBinomialResidual:
     def test_examples(self):
         for n in range(1, 9):
-            assert binomial_residual(1, 1, n) == 0
-        assert binomial_residual(1, 2, 5) == 0
-        assert binomial_residual(3, 2, 4) == 0
+            assert binomial_residual(1, n, coeff_vector(1, n, 1)) == 0
+        assert binomial_residual(1, 5, coeff_vector(2, 5, 1)) == 0
+        assert binomial_residual(3, 4, coeff_vector(2, 4, 3)) == 0
+        # c_1 = n at k = 1, so 1 - c_1 / n vanishes and a wrong c_1 does not
+        assert binomial_residual(1, 3, (1, 3)) == 0
+        assert binomial_residual(1, 3, (1, 4)) == Fraction(-1, 3)
 
     def test_vanishes_on_admissible_range(self):
         for two_h in (1, 3, 5):
@@ -181,13 +182,13 @@ class TestBinomialResidual:
                 if two_h > 2 * k:
                     continue
                 for n in range(1, 11):
-                    assert binomial_residual(two_h, k, n) == 0
+                    assert binomial_residual(two_h, n, coeff_vector(k, n, two_h)) == 0
+                    assert binomial_residual(two_h, n, [series_coeff(p, k, n) for p in range(two_h + 1)]) == 0
 
     def test_rejects_bad_orders(self):
-        with pytest.raises(ValueError):
-            binomial_residual(2, 2, 3)
-        with pytest.raises(ValueError):
-            binomial_residual(5, 1, 3)
+        for two_h in (2, 0, -1):
+            with pytest.raises(ValueError):
+                binomial_residual(two_h, 3, coeff_vector(2, 3, 3))
 
 
 class TestHookContentSum:

@@ -29,12 +29,13 @@ from cue_moments.moments import (
 )
 from cue_moments.specfun import (
     _bareiss,
-    laguerre,
-    laguerre_eval,
+    _horner,
+    _scaled_laguerre,
+    _wronskian,
+    moment_gen_engine,
     moment_gen_hankel,
     moment_gen_series,
     moment_gen_wronskian,
-    wronskian_at,
 )
 
 from _brute import (
@@ -42,6 +43,7 @@ from _brute import (
     fraction_horner,
     fraction_limit_half_h,
     fraction_recombine,
+    fraction_wronskian,
     hankel_route,
     laguerre_terms,
     one_shot_coeff_numerators,
@@ -69,20 +71,28 @@ class TestRoutes:
                     expected = keating_snaith(n, k) * fraction_horner(coeffs, z)
                     assert moment_gen_series(k, n, z) == expected, (k, n, z)
 
+    def test_engine_equals_the_fraction_horner_and_the_wronskian(self):
+        for k in range(1, 7):
+            for n in range(1, 11):
+                coeffs = coeff_vector(k, n, k * n)
+                for z in ROUTE_ZETAS:
+                    value = moment_gen_engine(k, n, z)
+                    assert value == keating_snaith(n, k) * fraction_horner(coeffs, z), (k, n, z)
+                    assert value == moment_gen_wronskian(k, n, z), (k, n, z)
+
     def test_public_helpers_equal_the_fraction_forms(self):
+        # The routes' integer kernels: m! L_m, homogeneous Horner and the Wronskian.
         for n in range(9):
             for alpha in (-n, 0, 3, 11):
-                poly = laguerre(n, alpha)
-                assert list(poly) == laguerre_terms(n, alpha)
+                poly = _scaled_laguerre(n, alpha)
+                assert [Fraction(c, factorial(n)) for c in poly] == laguerre_terms(n, alpha)
                 for t in (Fraction(0), Fraction(-2, 3), Fraction(5, 7), Fraction(-80)):
-                    assert laguerre_eval(poly, t) == fraction_horner(poly, t)
-        mixed = [[Fraction(1, 2), 3, Fraction(-4, 9)], [2, Fraction(7, 5)], [Fraction(1, 6)]]
-        for t in (Fraction(0), Fraction(3, 4), Fraction(-5, 2)):
-            rows, matrix = mixed, []
-            for _ in range(3):
-                matrix.append([fraction_horner(c, t) for c in rows])
-                rows = [[(j + 1) * c for j, c in enumerate(c[1:])] or [0] for c in rows]
-            assert wronskian_at(mixed, t) == fraction_det(matrix)
+                    scaled = Fraction(_horner(poly, t.numerator, t.denominator), t.denominator ** n)
+                    assert scaled == fraction_horner(poly, t)
+        mixed = [[1, 3, -4], [2, 7], [6], [0, 5, -9, 2]]
+        for polys in (mixed, mixed[:3], mixed[1:]):
+            for t in (Fraction(0), Fraction(3, 4), Fraction(-5, 2), Fraction(11)):
+                assert Fraction(*_wronskian(polys, t)) == fraction_wronskian(polys, t)
 
 
 class TestBareiss:

@@ -1,10 +1,12 @@
 import math
 import sys
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+from cue_moments import moments
 from cue_moments.coefficients import coeff_numerators, limit_coeff_numerators, limit_coeff_vector
 from cue_moments.moments import (
     ExactScalar,
@@ -203,6 +205,16 @@ class TestLimits:
             limit_moment_half_h(5, 2, 1e-8)
         with pytest.raises(ValueError):
             limit_moment_half_h(1, 1, 0.0)
+
+    def test_half_limit_stops_a_wrong_engine_instead_of_hanging(self, monkeypatch):
+        # h_p = p! makes every c_p = 1, so the terms grow and the stopping rule never holds.
+        factorials = tuple(map(math.factorial, range(1000)))
+        monkeypatch.setattr(moments, "limit_coeff_numerators", lambda k, P: factorials[: P + 1])
+        start = time.perf_counter()
+        for two_h, k, tol in ((1, 1, 1e-12), (1, 8, 1e-12), (13, 7, 1e-12), (1, 1, 1e-300)):
+            with pytest.raises(ArithmeticError, match="did not settle"):
+                limit_moment_half_h(two_h, k, tol)
+        assert time.perf_counter() - start < 5.0
 
     def test_series_tail_reproduces_k1_limit(self):
         # summing the closed-form tail terms directly gives (e^2-5)/(4 pi)

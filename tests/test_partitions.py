@@ -38,6 +38,16 @@ class TestEnumeration:
                 restricted = set(partitions_of(p, max_parts))
                 assert restricted == {t for t in brute if len(t) <= max_parts}
 
+    def test_box_bound_keeps_the_parts_at_most_max_part(self):
+        assert partitions_of(5, 3, 2) == ((2, 2, 1),)
+        assert partitions_of(7, 2, 3) == ()
+        assert partitions_of(0, 2, 1) == ((),)
+        for p in range(13):
+            for max_parts in range(1, 5):
+                for max_part in range(1, p + 3):
+                    boxed = partitions_of(p, max_parts, max_part)
+                    assert boxed == tuple(lam for lam in partitions_of(p, max_parts) if lam[:1] <= (max_part,))
+
     def test_counts_match_classical_recurrence(self):
         counts = partition_counts(40)
         for p in range(41):
@@ -48,6 +58,8 @@ class TestEnumeration:
             partitions_of(-1, 2)
         with pytest.raises(ValueError):
             partitions_of(3, 0)
+        with pytest.raises(ValueError):
+            partitions_of(3, 2, 0)
 
 
 class TestTranspose:

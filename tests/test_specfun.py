@@ -5,18 +5,28 @@ import pytest
 
 from cue_moments.moments import keating_snaith
 from cue_moments.specfun import (
+    _scaled_laguerre,
+    _wronskian,
     derivative_coeffs,
-    laguerre,
-    laguerre_eval,
+    moment_gen_engine,
     moment_gen_hankel,
     moment_gen_series,
     moment_gen_wronskian,
-    wronskian_at,
 )
 
-from _brute import lagrange_interpolate
+from _brute import fraction_horner, lagrange_interpolate
 
 ZETAS = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2))
+
+
+def laguerre(n, alpha):
+    """The routes' kernel m! L_m^(alpha), divided by n!: the Laguerre coefficients."""
+    return tuple(Fraction(c, factorial(n)) for c in _scaled_laguerre(n, alpha))
+
+
+def wronskian_at(polys, t):
+    """The routes' integer Wronskian of integer polynomials as one Fraction."""
+    return Fraction(*_wronskian(polys, Fraction(t)))
 
 
 class TestLaguerre:
@@ -41,24 +51,25 @@ class TestLaguerre:
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
-            laguerre(-1, 3)
+            _scaled_laguerre(-1, 3)
         with pytest.raises(ValueError):
-            laguerre(2, -3)
+            _scaled_laguerre(2, -3)
 
     def test_eval_examples(self):
-        assert laguerre_eval(laguerre(1, 1), -2) == 4
-        assert laguerre_eval(laguerre(2, 3), 2) == 2
+        assert fraction_horner(laguerre(1, 1), -2) == 4
+        assert fraction_horner(laguerre(2, 3), 2) == 2
         for n in range(6):
             for alpha in (0, 1, 4):
-                assert laguerre_eval(laguerre(n, alpha), 0) == comb(n + alpha, n)
+                assert fraction_horner(laguerre(n, alpha), 0) == comb(n + alpha, n)
 
 
 class TestLaguerreIdentities:
     def test_derivative_lowers_degree_and_raises_parameter(self):
         for n in range(1, 13):
             for alpha in (0, 1, 2, 3):
-                derived = derivative_coeffs(laguerre(n, alpha))
-                target = tuple(-c for c in laguerre(n - 1, alpha + 1))
+                # d/dt n! L_n^(alpha) = -n (n-1)! L_(n-1)^(alpha+1), over integers
+                derived = derivative_coeffs(_scaled_laguerre(n, alpha))
+                target = tuple(-n * c for c in _scaled_laguerre(n - 1, alpha + 1))
                 assert derived == target
 
     def test_three_term_parameter_recurrence(self):
@@ -74,19 +85,20 @@ class TestLaguerreIdentities:
 
 class TestWronskian:
     def test_single_polynomial(self):
-        poly = laguerre(4, 1)
+        poly = _scaled_laguerre(4, 1)
         for t in (0, 2, Fraction(-3, 2)):
-            assert wronskian_at([poly], t) == laguerre_eval(poly, t)
+            assert wronskian_at([poly], t) == fraction_horner(poly, t)
 
     def test_constant_one(self):
-        assert wronskian_at([laguerre(0, 7)], 0) == 1
+        assert wronskian_at([_scaled_laguerre(0, 7)], 0) == 1
 
     def test_two_by_two_example(self):
-        # W(L_1^(2), L_2^(2))(t) = -6 + 3t - t^2/2, checked at several points
-        pair = [laguerre(1, 2), laguerre(2, 2)]
+        # W(L_1^(2), L_2^(2))(t) = -6 + 3t - t^2/2, checked at several points;
+        # the integer polynomials 1! L_1 and 2! L_2 carry a factor 2
+        pair = [_scaled_laguerre(1, 2), _scaled_laguerre(2, 2)]
         for t in (Fraction(0), Fraction(2), Fraction(1, 2), Fraction(-7, 3)):
             expected = -6 + 3 * t - Fraction(t * t, 2)
-            assert wronskian_at(pair, t) == expected
+            assert wronskian_at(pair, t) == 2 * expected
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -97,7 +109,7 @@ class TestMomentGen:
     def test_zeta_zero_equals_zeroth_moment(self):
         for k in range(1, 5):
             for n in range(1, 9):
-                assert moment_gen_series(k, n, 0) == keating_snaith(n, k)
+                assert moment_gen_series(k, n, 0) == moment_gen_engine(k, n, 0) == keating_snaith(n, k)
         assert moment_gen_wronskian(1, 3, 0) == 4
         assert moment_gen_hankel(2, 1, 0) == 6
 
@@ -115,6 +127,7 @@ class TestMomentGen:
                     w = moment_gen_wronskian(k, n, z)
                     assert w == moment_gen_hankel(k, n, z)
                     assert w == moment_gen_series(k, n, z)
+                    assert w == moment_gen_engine(k, n, z)
 
     def test_positive_on_nonnegative_zeta(self):
         for k in range(1, 4):
@@ -127,6 +140,8 @@ class TestMomentGen:
             moment_gen_series(1, 1, Fraction(-1, 2))
         with pytest.raises(ValueError):
             moment_gen_wronskian(1, 1, -1)
+        with pytest.raises(ValueError):
+            moment_gen_engine(1, 1, -1)
 
     def test_polynomial_of_bounded_degree(self):
         # k*n + 1 samples determine the whole function: interpolation
