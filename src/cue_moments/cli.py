@@ -176,7 +176,8 @@ def _run_verify(args: argparse.Namespace) -> Output:
     all_passed = all(r.passed for r in results)
     text = [
         f"PASS {r.name} ({r.checks} checks)" if r.passed
-        else f"FAIL {r.name} ({r.failures}/{r.checks} checks failed)"
+        else f"FAIL {r.name} ({r.failures}/{r.checks} checks failed)" if r.error is None
+        else f"FAIL {r.name} (raised {r.error} after {r.checks} checks, {r.failures} failed)"
         for r in results
     ]
     text.append(
@@ -184,6 +185,9 @@ def _run_verify(args: argparse.Namespace) -> Output:
         f"({sum(r.checks for r in results)} checks total)"
     )
     rows = [{"name": r.name, "checks": r.checks, "failures": r.failures} for r in results]
+    # Only a suite that raised adds the column, so a passing run prints what it always has.
+    if any(r.error is not None for r in results):
+        rows = [dict(row, error=r.error or "") for row, r in zip(rows, results)]
     return text, {"inputs": {}, "result": {"suites": rows, "all_passed": all_passed}}, rows
 
 

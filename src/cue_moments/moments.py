@@ -216,9 +216,9 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     first p >= two_h + 2k + 4 with t_p < tol/2 and 2 t_p < t_(p-1), so
     ``tol`` is compared with inner terms, before the prefactor.  It asks
     the engine for h_0..h_p one p at a time; the engine's limit state
-    condenses only the terms it does not hold yet.  A rule still unmet at
-    twice the larger of that floor and the majorant's a priori P means a
-    wrong engine, and raises ArithmeticError.
+    condenses only the terms it does not hold yet.  A negative t_p or
+    t_(p-1), or a rule still unmet at twice the larger of that floor and the
+    majorant's a priori P, means a wrong engine, and raises ArithmeticError.
     """
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
@@ -234,6 +234,8 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     while True:
         h = limit_coeff_numerators(k, p)
         term, previous = (_weight(q, two_h, 1, q) * h[q] for q in (p, p - 1))
+        if min(term, previous) < 0:  # h_0 > 0, so t_p and T_p share a sign
+            raise ArithmeticError(f"limit term t_{p - 1} or t_{p}, past two_h, is negative: wrong engine")
         if term < half_tol * factorial(p) * h[0] and 2 * term < p * previous:
             break
         p += 1

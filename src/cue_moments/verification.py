@@ -36,22 +36,30 @@ from .specfun import moment_gen_engine, moment_gen_hankel, moment_gen_series, mo
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One suite's outcome; ``error`` names the exception that stopped the suite, if one did."""
+
     name: str
     checks: int
     failures: int
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
-        return self.failures == 0
+        return self.failures == 0 and self.error is None
 
 
 def _run(name: str, cases: Iterable[bool]) -> CheckResult:
+    # Every suite hands over a lazy iterable, so all of its work runs here: a
+    # case that raises ends this suite with a failed result, not the others.
     checks = 0
     failures = 0
-    for ok in cases:
-        checks += 1
-        if not ok:
-            failures += 1
+    try:
+        for ok in cases:
+            checks += 1
+            if not ok:
+                failures += 1
+    except Exception as exc:
+        return CheckResult(name, checks, failures, f"{type(exc).__name__}: {exc}")
     return CheckResult(name=name, checks=checks, failures=failures)
 
 
@@ -155,5 +163,8 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
 
 
 def run_all_checks() -> list[CheckResult]:
-    """Run every exact identity suite and collect the results."""
+    """Run every exact identity suite and collect the results.
+
+    A suite that raises comes back failed, carrying the error, and the rest still run.
+    """
     return [check() for check in ALL_CHECKS]

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from cue_moments import oracles
+from cue_moments import moments, oracles
 from cue_moments.cli import _decimal, _exact_moment, build_parser, format_exact, main
 from cue_moments.moments import ExactScalar, MomentOrder, keating_snaith
 
@@ -137,6 +137,23 @@ class TestLimitCommand:
                 code, out, err = run_cli(capsys, "limit", "--two-h", two_h, "--k", "1", "--tol", tol)
                 assert (code, out) == (1, "")
                 assert err == f"error: tol must be a positive finite number, got {float(tol)}\n"
+
+    @pytest.mark.parametrize("q", [17, 16])
+    def test_a_negative_term_is_a_wrong_engine_not_a_number(self, capsys, monkeypatch, q):
+        # At (two_h, k) = (1, 6) the stopping rule first reads t_17 and t_16.  A
+        # correct engine's terms past two_h are positive; a negative c_q once
+        # counted as settled and printed a negative tail_bound.
+        engine = moments.limit_coeff_numerators
+
+        def negative(k, P):
+            h = engine(k, P)
+            return h[:q] + (-h[q],) + h[q + 1:] if P >= q else h
+        monkeypatch.setattr(moments, "limit_coeff_numerators", negative)
+        for output_format in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, "limit", "--two-h", "1", "--k", "6", "--tol", "1e-12",
+                                     "--format", output_format)
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and err.endswith("negative: wrong engine\n")
 
     def test_even_limit_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--two-h", "2", "--k", "1", "--tol", "1e-10")

@@ -77,6 +77,26 @@ def fixed_alphas(n, shift):
     return np.array(inner + [np.exp(1j * (0.4 + 0.9 * n + shift))])
 
 
+def szego_at_one_reference(alpha):
+    """The recursion as a tuple assignment, fresh arrays every step: what _szego_at_one must equal bit for bit."""
+    shape = alpha.shape[:-1]
+    phi, rev = np.ones(shape, complex), np.ones(shape, complex)
+    dphi, drev = np.zeros(shape, complex), np.zeros(shape, complex)
+    for j in range(alpha.shape[-1]):
+        a = alpha[..., j]
+        ac = a.conj()
+        phi, rev, dphi, drev = (
+            phi - ac * rev,
+            rev - a * phi,
+            phi + dphi - ac * drev,
+            drev - a * (phi + dphi),
+        )
+    abs_v = np.abs(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        abs_vp = abs_v * np.abs((dphi / phi).imag)
+    return abs_v, abs_vp
+
+
 class TestSzegoRecursion:
     def test_examples(self):
         # n = 1: Phi_1(z) = z - conj(alpha_0), one eigenphase at angle(conj(alpha_0)).
@@ -107,6 +127,17 @@ class TestSzegoRecursion:
             single_v, single_vp = _szego_at_one(alpha[row : row + 1])
             assert abs_v[row] == single_v[0] and abs_vp[row] == single_vp[0]
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_in_place_updates_match_the_reference_bit_for_bit(self, n):
+        alpha = _draw_verblunsky(n, 41, 0, 3000)
+        alpha[::7, 0] = 1.0  # poles at z = 1: non-finite |V'| on both sides
+        # Batches of one, where numpy has a second product loop, but no 1-D
+        # alpha: on 0-d arrays the reference runs numpy's scalar arithmetic,
+        # which may round a complex product differently.
+        for layout in [alpha, np.ascontiguousarray(alpha)] + [alpha[i : i + 1] for i in range(10)]:
+            for got, want in zip(_szego_at_one(layout), szego_at_one_reference(layout)):
+                assert np.array_equal(got, want, equal_nan=True)
+
     def test_pole_is_non_finite(self):
         # alpha_0 = 1 puts the eigenvalue at z = 1 exactly, where cot(theta/2) has its pole.
         abs_v, abs_vp = _szego_at_one(np.array([1.0 + 0j]))
@@ -128,6 +159,8 @@ KS_SEED = 1109
 KS_REFERENCE_SEED = 227
 # Asymptotic two-sample critical value at significance 1e-4: sqrt(-ln(alpha/2)/2) sqrt(2/m).
 KS_CRITICAL = math.sqrt(-math.log(1e-4 / 2) / 2) * math.sqrt(2 / KS_DRAWS)
+# The one-sample critical value at the same significance.
+KS_CRITICAL_ONE_SAMPLE = math.sqrt(-math.log(1e-4 / 2) / 2) / math.sqrt(KS_DRAWS)
 
 
 class TestDistribution:
@@ -137,6 +170,15 @@ class TestDistribution:
         ref_v, ref_vp = haar_v_values(n, KS_DRAWS, KS_REFERENCE_SEED)
         assert ks_statistic(abs_v, ref_v) <= KS_CRITICAL
         assert ks_statistic(abs_vp, ref_vp) <= KS_CRITICAL
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_last_coefficient_is_uniform_on_the_circle(self, n):
+        last = _draw_verblunsky(n, KS_SEED, 0, KS_DRAWS)[:, -1]
+        assert np.max(np.abs(np.abs(last) - 1.0)) <= 1e-14
+        # One-sample KS of the argument, mapped to [0, 1), against the uniform law.
+        x = np.sort(np.mod(np.angle(last), 2 * math.pi) / (2 * math.pi))
+        i = np.arange(1, KS_DRAWS + 1)
+        assert max(np.max(i / KS_DRAWS - x), np.max(x - (i - 1) / KS_DRAWS)) <= KS_CRITICAL_ONE_SAMPLE
 
 
 class TestMCMoment:
@@ -196,13 +238,13 @@ class TestMCMoment:
                 mc_moment(300, 2, 30, 2000, 0)
 
     def test_batch_memory_is_capped_at_large_n(self, monkeypatch):
-        # Each trial draws about 2n doubles: at n = 1000 a batch holds
+        # Each trial draws a window of 2n - 1 doubles: at n = 1000 a batch holds
         # 2^21 // 1000 = 2097 trials, not 4096, so one draw stays under 2^22 doubles.
         shapes = []
 
         def spy(n, seed, start, count):
             alpha = _draw_verblunsky(n, seed, start, count)
-            shapes.append((count, 4 * -(-(2 * n - 1) // 4)))
+            shapes.append((count, 2 * n - 1))
             return alpha
         monkeypatch.setattr(oracles, "_draw_verblunsky", spy)
         est = mc_moment(1000, 2, 1, 2500, 7)

@@ -1,5 +1,8 @@
 """``verify`` watches the coefficient engine that every printed value uses."""
 
+import csv
+import io
+import json
 import sys
 
 from cue_moments import coefficients
@@ -24,6 +27,16 @@ def test_suites_and_check_counts():
     assert all(r.passed for r in results)
 
 
+def patch_engine(monkeypatch, wrong):
+    """Give every package module that imported the engine by name the wrong one."""
+    engine = coefficients.coeff_numerators
+    patched = [name for name, module in sys.modules.items()
+               if name.startswith("cue_moments") and getattr(module, "coeff_numerators", None) is engine]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "coeff_numerators", wrong)
+    assert {"cue_moments.coefficients", "cue_moments.moments", "cue_moments.specfun"} <= set(patched)
+
+
 def test_an_engine_off_by_one_in_h1_fails_verify(monkeypatch, capsys):
     engine = coefficients.coeff_numerators
 
@@ -31,14 +44,38 @@ def test_an_engine_off_by_one_in_h1_fails_verify(monkeypatch, capsys):
         h = engine(k, n, P)
         return h[:1] + (h[1] + 1,) + h[2:] if len(h) > 1 else h
 
-    # Every package module that imported the engine by name gets the wrong one.
-    patched = [name for name, module in sys.modules.items()
-               if name.startswith("cue_moments") and getattr(module, "coeff_numerators", None) is engine]
-    for name in patched:
-        monkeypatch.setattr(sys.modules[name], "coeff_numerators", wrong)
-    assert {"cue_moments.coefficients", "cue_moments.moments", "cue_moments.specfun"} <= set(patched)
+    patch_engine(monkeypatch, wrong)
 
     failed = {r.name for r in run_all_checks() if not r.passed}
     assert {"three-route-identity", "vanishing-residuals", "coefficient-engine"} <= failed
     assert main(["verify"]) == 1
     assert "FAILURES detected" in capsys.readouterr().out
+
+
+def test_a_raising_engine_fails_its_suites_and_the_rest_still_run(monkeypatch, capsys):
+    def raising(k, n, P):
+        raise ArithmeticError("inexact quotient in the Hankel condensation")
+
+    patch_engine(monkeypatch, raising)
+    results = run_all_checks()
+    assert [r.name for r in results] == list(SUITES)
+    error = "ArithmeticError: inexact quotient in the Hankel condensation"
+    raised = {"vanishing-residuals", "three-route-identity", "coefficient-engine", "half-moment-closed-form"}
+    for r in results:
+        assert (r.error, r.passed) == ((error, False) if r.name in raised else (None, True))
+        if r.name not in raised:
+            assert r.checks == SUITES[r.name]
+
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(SUITES) + 1 and lines[-1].startswith("FAILURES detected")
+    assert "FAIL coefficient-engine (raised ArithmeticError: inexact quotient in the Hankel condensation" \
+        " after 0 checks, 0 failed)" in lines
+    assert "PASS transpose-identities (1360 checks)" in lines
+
+    assert main(["verify", "--format", "json"]) == 1
+    suites = json.loads(capsys.readouterr().out)["result"]["suites"]
+    assert {s["name"]: s["error"] for s in suites if s["error"]} == dict.fromkeys(raised, error)
+    assert main(["verify", "--format", "csv"]) == 1
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["name"] for row in rows if row["error"]] == [r.name for r in results if r.error]
