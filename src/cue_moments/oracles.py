@@ -14,18 +14,21 @@ the characteristic polynomial of an n x n Haar unitary has the law of the
 degree-n polynomial Phi_n of Szegő's recursion driven by independent
 Verblunsky coefficients alpha_0, ..., alpha_{n-1}: for j < n - 1,
 |alpha_j|^2 ~ Beta(1, n - j - 1) with a uniform phase, and alpha_{n-1} is
-uniform on the unit circle.  Carrying Phi_j, its reversal Phi*_j and both
-derivatives at z = 1 through the recursion yields |V| and |V'| in O(n) work
-per trial.  Trial t reads its own window of 2n - 1 doubles of one PCG64
-stream, reached by ``advance``; each phase is the cosine and sine of an
-eighth of its angle, squared three times, which costs far less than a
-complex exponential.  The test suite checks this sampler in distribution
+uniform on the unit circle.  As Phi*_j(1) = conj(Phi_j(1)), carrying
+Phi_j(1) and the derivatives of Phi_j and Phi*_j at z = 1 through the
+recursion yields |V| and |V'| in O(n) work per trial.  One PCG64 stream per
+call is read in order, trial t taking its own window of 2n - 1 doubles; each
+phase is the cosine and sine of an eighth of its angle, squared three times,
+which costs far less than a complex exponential.  A call allocates its
+arrays once and every batch is written into them, so no batch asks the
+system for fresh pages.  The test suite checks this sampler in distribution
 against QR-corrected complex Ginibre matrices (Mezzadri, Notices AMS 2007).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -68,69 +71,83 @@ class MCEstimate:
     redraws: int = 0
 
 
-def _draw_verblunsky(n: int, seed: int, start: int, count: int) -> np.ndarray:
-    """Verblunsky coefficients of trials start, ..., start + count - 1, shape (count, n).
+def _verblunsky_batches(n: int, seed: int, trials: int, batch: int) -> Iterator[np.ndarray]:
+    """Verblunsky coefficients of trials 0, ..., trials - 1, ``batch`` at a time, shape (count, n).
 
-    Trial t owns a fixed window of 2n - 1 doubles in the PCG64 stream seeded
-    by ``seed``: n - 1 for the moduli, then n for the phases, no padding.  A
-    PCG64 step yields one double, so the batch reaches its first window with
-    one ``advance`` and each trial's draws depend on (seed, t) alone.  The
-    phase e^(i theta) is (cos + i sin)(theta/8) squared three times: on
-    [0, pi/4) ``np.sin`` is fast and the cosine is sqrt(1 - sin^2) without
-    cancellation.  That costs about a quarter of a complex exponential and
-    stays within 2e-15 of it; |alpha_(n-1)| is 1 within 2e-15.  The array is
+    One PCG64 stream seeded by ``seed`` is read in order.  Trial t takes its
+    doubles t(2n - 1), ..., (t + 1)(2n - 1) - 1: n - 1 for the moduli, then n
+    for the phases, no padding.  So each trial's coefficients depend on
+    (seed, t) alone, whatever the batch.  The phase e^(i theta) is
+    (cos + i sin)(theta/8) squared three times: on [0, pi/4) ``np.sin`` is
+    fast and the cosine is sqrt(1 - sin^2) without cancellation.  That costs
+    about a quarter of a complex exponential and stays within 2e-15 of it;
+    |alpha_(n-1)| is 1 within 2e-15.
+
+    The stream window, the coefficients and one row of scratch per
+    coefficient are allocated once, and every batch is written into them.
+    Each yielded array is a view that the next batch overwrites.  It is
     Fortran-ordered, so each coefficient's column is contiguous for
     :func:`_szego_at_one`.
     """
-    width = 2 * n - 1
-    bitgen = np.random.PCG64(seed)
-    bitgen.advance(start * width)
-    u = np.random.Generator(bitgen).random((count, width)).T
-    alpha = np.empty((n, count), complex)
-    part = np.multiply(u[n - 1 :], math.pi / 4)  # theta / 8
-    alpha.imag = np.sin(part, out=part)
-    np.subtract(1.0, np.square(part, out=part), out=part)
-    alpha.real = np.sqrt(part, out=part)
-    for _ in range(3):
-        np.square(alpha, out=alpha)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = np.empty((batch, 2 * n - 1))
+    # Flat, so that a short last batch is contiguous too: numpy squares a
+    # strided complex array in another loop, which rounds differently.
+    alpha = np.empty(n * batch, complex)
+    # theta / 8, then 1 - sin^2, then the moduli.
+    scratch = np.empty(n * batch)
     # |alpha_j|^2 ~ Beta(1, m) with m = n - j - 1, by inverting its CDF 1 - (1 - x)^m.
-    m = np.arange(n - 1, 0, -1)[:, None]
-    radius = np.sqrt(-np.expm1(np.log1p(-u[: n - 1]) / m))
-    alpha.real[: n - 1] *= radius
-    alpha.imag[: n - 1] *= radius
-    return alpha.T
+    m = np.arange(n - 1, 0, -1.0)[:, None]
+    for start in range(0, trials, batch):
+        count = min(batch, trials - start)
+        u = rng.random(out=draws[:count]).T
+        a, part = alpha[: n * count].reshape(n, count), scratch[: n * count].reshape(n, count)
+        np.multiply(u[n - 1 :], math.pi / 4, out=part)
+        np.sin(part, out=a.imag)
+        np.subtract(1.0, np.square(a.imag, out=part), out=part)
+        np.sqrt(part, out=a.real)
+        for _ in range(3):
+            np.square(a, out=a)
+        radius = part[: n - 1]
+        np.log1p(np.negative(u[: n - 1], out=radius), out=radius)
+        np.sqrt(np.negative(np.expm1(np.divide(radius, m, out=radius), out=radius), out=radius), out=radius)
+        np.multiply(a.real[: n - 1], radius, out=a.real[: n - 1])
+        np.multiply(a.imag[: n - 1], radius, out=a.imag[: n - 1])
+        yield a.T
 
 
-def _szego_at_one(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _szego_at_one(alpha: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """|V| and |V'| for Verblunsky coefficients along the last axis of alpha.
 
     Runs Szegő's recursion Phi_{j+1}(z) = z Phi_j(z) - conj(alpha_j) Phi*_j(z),
     Phi*_{j+1}(z) = Phi*_j(z) - alpha_j z Phi_j(z), and its derivative, at
-    z = 1, updating four arrays in place.  With eigenphases theta,
-    Phi_n'(1) / Phi_n(1) is sum 1 / (1 - e^(i theta)) = n/2 + (i/2) sum
-    cot(theta/2), so |V| = |Phi_n(1)| and |V'| = |V| |Im(Phi_n'(1) / Phi_n(1))|.
-    A zero of Phi_n at exactly z = 1 makes |V'| non-finite.
+    z = 1.  There Phi*_j(1) = conj(Phi_j(1)), so the recursion carries three
+    arrays, Phi_j(1), Phi_j'(1) and Phi*_j'(1), updated in place in ``work``:
+    a complex array of shape (5,) + alpha.shape[:-1], allocated if not given.
+    With eigenphases theta, Phi_n'(1) / Phi_n(1) is
+    sum 1 / (1 - e^(i theta)) = n/2 + (i/2) sum cot(theta/2), so
+    |V| = |Phi_n(1)| and |V'| = |V| |Im(Phi_n'(1) / Phi_n(1))|.  A zero of
+    Phi_n at exactly z = 1 makes |V'| non-finite.
     """
-    shape = alpha.shape[:-1]
-    phi, rev = np.ones(shape, complex), np.ones(shape, complex)
-    dphi, drev = np.zeros(shape, complex), np.zeros(shape, complex)
-    lead, ac_rev, a_phi, ac_drev = (np.empty(shape, complex) for _ in range(4))
-    conj = alpha.conj()
+    if work is None:
+        work = np.empty((5, *alpha.shape[:-1]), complex)
+    phi, dphi, drev, lead, prod = (work[i, ...] for i in range(5))
+    phi.fill(1.0)
+    dphi.fill(0.0)
+    drev.fill(0.0)
     for j in range(alpha.shape[-1]):
-        a, ac = alpha[..., j], conj[..., j]
-        np.multiply(ac, rev, out=ac_rev)
-        np.multiply(a, phi, out=a_phi)
+        a = alpha[..., j]
         np.add(phi, dphi, out=lead)
-        np.multiply(ac, drev, out=ac_drev)
-        np.subtract(phi, ac_rev, out=phi)
-        np.subtract(rev, a_phi, out=rev)
-        np.subtract(lead, ac_drev, out=dphi)
+        # Once lead holds Phi_j + Phi_j', dphi is free to hold conj(alpha_j).
         # Never out= an input of a complex product: on one-element arrays numpy
         # then takes another loop, which rounds differently.
-        np.subtract(drev, np.multiply(a, lead, out=a_phi), out=drev)
+        np.subtract(lead, np.multiply(np.conjugate(a, out=dphi), drev, out=prod), out=dphi)
+        np.subtract(drev, np.multiply(a, lead, out=prod), out=drev)
+        # conj(alpha_j) Phi*_j(1) = conj(alpha_j Phi_j(1)) bit for bit.
+        np.subtract(phi, np.conjugate(np.multiply(a, phi, out=prod), out=prod), out=phi)
     abs_v = np.abs(phi)
     with np.errstate(divide="ignore", invalid="ignore"):
-        abs_vp = abs_v * np.abs((dphi / phi).imag)
+        abs_vp = abs_v * np.abs(np.divide(dphi, phi, out=lead).imag)
     return abs_v, abs_vp
 
 
@@ -152,9 +169,12 @@ def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
     Averages |V|^(2k - two_h) |V'|^two_h over ``trials`` independent CUE
     samples, each drawn as Verblunsky coefficients and reduced by Szegő's
     recursion at z = 1, max(1, min(4096, 2^21 // n)) trials at a time, so
-    one batch holds about 2^22 doubles at any n.  Trial t reads a fixed window
-    of 2n - 1 doubles of the PCG64 stream seeded by ``seed`` (an integer in
-    [0, 2^64)), so the estimate is bit-identical for fixed (seed, trials).
+    one batch's stream window holds about 2^22 doubles at any n, and all its
+    arrays about 2.5 times that.  The stream window, the coefficients and the
+    recursion's arrays are allocated once per call and reused by every
+    batch.  Trial t reads a fixed window of 2n - 1 doubles of the PCG64
+    stream seeded by ``seed`` (an integer in [0, 2^64)), so the estimate is
+    bit-identical for fixed (seed, trials).
     Non-finite samples are left out of the mean and standard error and
     counted in ``redraws``; fewer than two finite samples, or a mean or
     standard error that overflows the float range, raise ArithmeticError.
@@ -168,12 +188,15 @@ def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     a = 2 * order.k - order.two_h
     batch = max(1, min(_MC_BATCH, _MC_BATCH_DOUBLES // (2 * n)))
+    work = np.empty((5, batch), complex)
     stats = (0, 0.0, 0.0)
-    for start in range(0, trials, batch):
-        abs_v, abs_vp = _szego_at_one(_draw_verblunsky(n, seed, start, min(batch, trials - start)))
+    for alpha in _verblunsky_batches(n, seed, trials, batch):
+        abs_v, abs_vp = _szego_at_one(alpha, work[:, : len(alpha)])
         with np.errstate(over="ignore", invalid="ignore"):
             values = abs_v ** a * abs_vp ** two_h
-            values = values[np.isfinite(values)]
+            finite = np.isfinite(values)
+            if not finite.all():
+                values = values[finite]
             if values.size:
                 stats = _fold(stats, values)
     count, mean, m2 = stats

@@ -134,12 +134,17 @@ def check_three_route_identity() -> CheckResult:
 
 
 def check_coefficient_engine() -> CheckResult:
-    """The determinant engine against the partition sums, one check per coefficient vector."""
+    """The determinant engine against the partition sums, one check per coefficient vector.
+
+    Each limit state is asked for P = 10 and then P = 20, so in a fresh
+    process the second request rescales the levels the first one stored.
+    """
     def cases():
         for k in range(1, 5):
             for n in range(1, 9):
                 yield coeff_vector(k, n, k * n) == tuple(series_coeff(p, k, n) for p in range(k * n + 1))
-            yield limit_coeff_vector(k, 20) == tuple(series_coeff_limit(p, k) for p in range(21))
+            for P in (10, 20):
+                yield limit_coeff_vector(k, P) == tuple(series_coeff_limit(p, k) for p in range(P + 1))
     return _run("coefficient-engine", cases())
 
 

@@ -232,9 +232,9 @@ class TestMCCommand:
         assert payload["result"]["trials"] == 4000
 
     def test_out_of_memory_is_an_error_not_a_traceback(self, capsys, monkeypatch):
-        def out_of_memory(n, seed, start, count):
+        def out_of_memory(n, seed, trials, batch):
             raise MemoryError("Unable to allocate 29.1 TiB for an array with shape (2, 2000000000000)")
-        monkeypatch.setattr(oracles, "_draw_verblunsky", out_of_memory)
+        monkeypatch.setattr(oracles, "_verblunsky_batches", out_of_memory)
         code, out, err = run_cli(capsys, "mc", "--n", "1000000000000", "--two-h", "0", "--k", "1", "--trials", "2")
         assert code == 1
         assert out == ""
@@ -243,7 +243,7 @@ class TestMCCommand:
     def test_exact_value_beyond_float_range_is_an_error_before_sampling(self, capsys, monkeypatch):
         def no_sampling(*args):
             raise AssertionError("mc must not sample a moment it cannot compare")
-        monkeypatch.setattr(oracles, "_draw_verblunsky", no_sampling)
+        monkeypatch.setattr(oracles, "_verblunsky_batches", no_sampling)
         code, out, err = run_cli(capsys, "mc", "--n", "600", "--two-h", "2", "--k", "30", "--trials", "3495")
         assert code == 1
         assert out == ""

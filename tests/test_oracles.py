@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from fractions import Fraction
@@ -14,8 +15,8 @@ from cue_moments.moments import keating_snaith, moment_half_h, moment_integer_h
 from cue_moments.oracles import (
     MCEstimate,
     QuadratureError,
-    _draw_verblunsky,
     _szego_at_one,
+    _verblunsky_batches,
     closed_form_moment_integral,
     mc_moment,
     quad_moment_integral,
@@ -69,6 +70,12 @@ def polynomial_from_verblunsky(alpha):
         rev = np.conj(phi[::-1])
         phi = np.append(phi, 0) - np.conj(a) * np.insert(rev, 0, 0)
     return phi
+
+
+def draw_verblunsky(n, seed, count):
+    """Verblunsky coefficients of trials 0, ..., count - 1, drawn as one batch, shape (count, n)."""
+    (alpha,) = _verblunsky_batches(n, seed, count, count)
+    return alpha
 
 
 def fixed_alphas(n, shift):
@@ -129,14 +136,19 @@ class TestSzegoRecursion:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_in_place_updates_match_the_reference_bit_for_bit(self, n):
-        alpha = _draw_verblunsky(n, 41, 0, 3000)
+        alpha = draw_verblunsky(n, 41, 3000)
         alpha[::7, 0] = 1.0  # poles at z = 1: non-finite |V'| on both sides
         # Batches of one, where numpy has a second product loop, but no 1-D
         # alpha: on 0-d arrays the reference runs numpy's scalar arithmetic,
         # which may round a complex product differently.
-        for layout in [alpha, np.ascontiguousarray(alpha)] + [alpha[i : i + 1] for i in range(10)]:
-            for got, want in zip(_szego_at_one(layout), szego_at_one_reference(layout)):
-                assert np.array_equal(got, want, equal_nan=True)
+        layouts = [alpha, np.ascontiguousarray(alpha)] + [alpha[i : i + 1] for i in range(10)]
+        # mc_moment's work buffer: rows of a wider array, reused from batch to batch.
+        work = np.full((5, 4096), np.nan, complex)
+        for layout in layouts:
+            want = szego_at_one_reference(layout)
+            for got in (_szego_at_one(layout), _szego_at_one(layout, work[:, : len(layout)])):
+                for got_part, want_part in zip(got, want):
+                    assert np.array_equal(got_part, want_part, equal_nan=True)
 
     def test_pole_is_non_finite(self):
         # alpha_0 = 1 puts the eigenvalue at z = 1 exactly, where cot(theta/2) has its pole.
@@ -166,14 +178,14 @@ KS_CRITICAL_ONE_SAMPLE = math.sqrt(-math.log(1e-4 / 2) / 2) / math.sqrt(KS_DRAWS
 class TestDistribution:
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_matches_qr_haar_reference(self, n):
-        abs_v, abs_vp = _szego_at_one(_draw_verblunsky(n, KS_SEED, 0, KS_DRAWS))
+        abs_v, abs_vp = _szego_at_one(draw_verblunsky(n, KS_SEED, KS_DRAWS))
         ref_v, ref_vp = haar_v_values(n, KS_DRAWS, KS_REFERENCE_SEED)
         assert ks_statistic(abs_v, ref_v) <= KS_CRITICAL
         assert ks_statistic(abs_vp, ref_vp) <= KS_CRITICAL
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_last_coefficient_is_uniform_on_the_circle(self, n):
-        last = _draw_verblunsky(n, KS_SEED, 0, KS_DRAWS)[:, -1]
+        last = draw_verblunsky(n, KS_SEED, KS_DRAWS)[:, -1]
         assert np.max(np.abs(np.abs(last) - 1.0)) <= 1e-14
         # One-sample KS of the argument, mapped to [0, 1), against the uniform law.
         x = np.sort(np.mod(np.angle(last), 2 * math.pi) / (2 * math.pi))
@@ -213,10 +225,11 @@ class TestMCMoment:
     def test_non_finite_samples_are_left_out_and_counted(self, monkeypatch):
         # alpha = 1 puts the eigenvalue at z = 1: |V| = 0 and |V'| is non-finite.
         # Otherwise trial t has the one eigenphase theta = -(1 + t).
-        def draws(n, seed, start, count):
-            t = np.arange(start, start + count)
-            return np.where(t % 3 == 0, 1.0, np.exp(1j * (1.0 + t)))[:, None]
-        monkeypatch.setattr(oracles, "_draw_verblunsky", draws)
+        def batches(n, seed, trials, batch):
+            for start in range(0, trials, batch):
+                t = np.arange(start, min(start + batch, trials))
+                yield np.where(t % 3 == 0, 1.0, np.exp(1j * (1.0 + t)))[:, None]
+        monkeypatch.setattr(oracles, "_verblunsky_batches", batches)
         est = mc_moment(1, 1, 1, 30, 0)
         half = np.array([(1.0 + t) / 2 for t in range(30) if t % 3])
         abs_v = 2 * np.abs(np.sin(half))
@@ -226,7 +239,10 @@ class TestMCMoment:
         assert est.stderr == pytest.approx(np.std(finite, ddof=1) / math.sqrt(20), rel=1e-10)
 
     def test_too_few_finite_samples_raise(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_draw_verblunsky", lambda n, seed, start, count: np.ones((count, 1), complex))
+        def batches(n, seed, trials, batch):
+            for start in range(0, trials, batch):
+                yield np.ones((min(batch, trials - start), 1), complex)
+        monkeypatch.setattr(oracles, "_verblunsky_batches", batches)
         with pytest.raises(ArithmeticError):
             mc_moment(1, 1, 1, 10, 0)
 
@@ -242,23 +258,55 @@ class TestMCMoment:
         # 2^21 // 1000 = 2097 trials, not 4096, so one draw stays under 2^22 doubles.
         shapes = []
 
-        def spy(n, seed, start, count):
-            alpha = _draw_verblunsky(n, seed, start, count)
-            shapes.append((count, 2 * n - 1))
-            return alpha
-        monkeypatch.setattr(oracles, "_draw_verblunsky", spy)
+        def spy(n, seed, trials, batch):
+            for alpha in _verblunsky_batches(n, seed, trials, batch):
+                shapes.append((len(alpha), 2 * n - 1))
+                yield alpha
+        monkeypatch.setattr(oracles, "_verblunsky_batches", spy)
         est = mc_moment(1000, 2, 1, 2500, 7)
         assert [count for count, _ in shapes] == [2097, 403]
         assert all(count * width <= 2 ** 22 for count, width in shapes)
         assert est.trials == 2500 and est.stderr > 0
 
+    def test_peak_memory_is_a_few_batches_at_large_n(self):
+        # Whatever helpers draw and reduce: the stream window (2n - 1 doubles
+        # per trial), the coefficients (2n) and one scratch row (n) make about
+        # 2.5 batches of 2^22 doubles at n = 1000.
+        mc_moment(3, 2, 1, 100, 0)  # numpy's lazy imports stay out of the count
+        tracemalloc.start()
+        try:
+            est = mc_moment(1000, 2, 1, 2500, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == 2500
+        assert peak <= 3 * 8 * oracles._MC_BATCH_DOUBLES
+
     def test_trial_windows_are_independent_of_the_batch(self):
-        whole = _draw_verblunsky(4, 5, 0, 10)
-        assert np.array_equal(_draw_verblunsky(4, 5, 3, 7), whole[3:])
-        assert np.array_equal(_draw_verblunsky(4, 5, 9, 1), whole[9:])
+        # Batches of 3, 3, 3 and 1 overwrite one set of buffers in turn.
+        whole = draw_verblunsky(4, 5, 10)
+        parts = [alpha.copy() for alpha in _verblunsky_batches(4, 5, 10, 3)]
+        assert [len(part) for part in parts] == [3, 3, 3, 1]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_multi_batch_estimates_are_pinned(self):
+        # Recorded before the batch buffers were reused: a stale buffer in a
+        # short last batch (403 trials at n = 1000, one at n = 8), at n = 1 or
+        # at trials = 2 moves the bits.
+        expected = {
+            (1, 0, 1, 4097): ("2.00117943316343", "0.021944286679538655", 0),
+            (3, 1, 1, 4097): ("2.9593284753864237", "0.04798085757057146", 0),
+            (8, 2, 2, 8197): ("1250.4616611765841", "136.42879180062366", 0),
+            (8, 3, 2, 2): ("101.67544192929938", "97.85464953932778", 0),
+            (5, 4, 2, 12289): ("712.8221335754338", "16.068843984390625", 0),
+            (1000, 2, 1, 2500): ("57339784.635327615", "13417324.210906588", 0),
+        }
+        for (n, two_h, k, trials), pinned in expected.items():
+            est = mc_moment(n, two_h, k, trials, 7)
+            assert (repr(est.mean), repr(est.stderr), est.redraws) == pinned, (n, two_h, k, trials)
 
     def test_verblunsky_moduli(self):
-        alpha = _draw_verblunsky(3, 11, 0, 2000)
+        alpha = draw_verblunsky(3, 11, 2000)
         assert np.all(np.abs(alpha[:, :-1]) < 1.0)
         assert np.allclose(np.abs(alpha[:, -1]), 1.0)
         # |alpha_0|^2 ~ Beta(1, 2) has mean 1/3; |alpha_1|^2 ~ Beta(1, 1) has mean 1/2.

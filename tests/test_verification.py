@@ -16,7 +16,7 @@ SUITES = {
     "coefficient-bounds": 171,
     "closed-form-coefficients": 62,
     "three-route-identity": 384,
-    "coefficient-engine": 36,
+    "coefficient-engine": 40,
     "half-moment-closed-form": 50,
 }
 
