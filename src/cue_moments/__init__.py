@@ -12,14 +12,14 @@ The top level exports the user API.  Oracles and identity helpers
 from their own modules.
 """
 
-from .coefficients import coeff_vector, limit_coeff_vector
+from .coefficients import coeff_vector
 from .moments import (
     ExactScalar,
     LimitResult,
     MomentOrder,
+    exact_moment,
     keating_snaith,
     limit_moment_half_h,
-    limit_moment_integer_h,
     limit_moment_zero,
     moment_half_h,
     moment_integer_h,
@@ -37,10 +37,9 @@ __all__ = [
     "MomentOrder",
     "closed_form_moment_integral",
     "coeff_vector",
+    "exact_moment",
     "keating_snaith",
-    "limit_coeff_vector",
     "limit_moment_half_h",
-    "limit_moment_integer_h",
     "limit_moment_zero",
     "mc_moment",
     "moment_half_h",

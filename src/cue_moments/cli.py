@@ -24,12 +24,8 @@ from .moments import (
     DECIMAL_PI,
     ExactScalar,
     MomentOrder,
-    keating_snaith,
+    exact_moment,
     limit_moment_half_h,
-    limit_moment_integer_h,
-    limit_moment_zero,
-    moment_half_h,
-    moment_integer_h,
 )
 from .oracles import QUAD_N_MAX, closed_form_moment_integral, mc_moment, quad_moment_integral
 from .verification import run_all_checks
@@ -69,17 +65,8 @@ def _decimal(value: float | Fraction | ExactScalar) -> str:
         return f"{d.scaleb(-exponent):f}e{exponent:+03d}"
 
 
-def _exact_moment(n: int, two_h: int, k: int) -> Fraction | ExactScalar:
-    MomentOrder(two_h, k)
-    if two_h == 0:
-        return keating_snaith(n, k)
-    if two_h % 2 == 0:
-        return moment_integer_h(n, two_h // 2, k)
-    return moment_half_h(n, two_h, k)
-
-
 def _moment_row(n: int, two_h: int, k: int) -> dict:
-    exact = _exact_moment(n, two_h, k)
+    exact = exact_moment(n, two_h, k)
     return {"n": n, "two_h": two_h, "k": k, "exact": format_exact(exact), "value": _decimal(exact)}
 
 
@@ -101,7 +88,7 @@ def _run_limit(args: argparse.Namespace) -> Output:
     two_h, k = args.two_h, args.k
     exact_str, tail_bound, terms = "", 0.0, 0
     if two_h % 2 == 0:
-        exact = limit_moment_zero(k) if two_h == 0 else limit_moment_integer_h(two_h // 2, k)
+        exact = exact_moment(None, two_h, k)
         exact_str, value = format_exact(exact), _decimal(exact)
         cell = f"{exact_str} ≈ {value}"
     else:
@@ -135,9 +122,9 @@ def _run_table(args: argparse.Namespace) -> Output:
 
 
 def _run_mc(args: argparse.Namespace) -> Output:
-    exact = _exact_moment(args.n, args.two_h, args.k)
+    exact = exact_moment(args.n, args.two_h, args.k)
     try:
-        exact_float = exact.to_float() if isinstance(exact, ExactScalar) else float(exact)
+        exact_float = float(exact)
     except OverflowError:
         raise ArithmeticError(
             f"exact moment {_decimal(exact)} is beyond the float range: mc cannot estimate it") from None

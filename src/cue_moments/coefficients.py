@@ -8,9 +8,9 @@ the ratio); its scaled large-n limit is det[G_{i+j+1}(2 zeta)] with
 G_alpha(x) = sum_m x^m / (m! (m + alpha)!), again det[f^(i+j)] for
 f = G_1(2 zeta) (Conrey, Rubinstein & Snaith, CMP 2006).
 
-:func:`coeff_numerators` and :func:`limit_coeff_numerators` compute these
-determinants fraction-free over integer Hurwitz series (entry j is j!
-times the coefficient of zeta^j) by Sylvester's identity (the
+:func:`coeff_numerators` computes these determinants, at size n or, for
+n None, in the limit, fraction-free over integer Hurwitz series (entry
+j is j! times the coefficient of zeta^j) by Sylvester's identity (the
 condensation behind Bareiss elimination, Math. Comp. 1968): with u_j the
 j x j Hankel determinant of derivatives of f, signed so that u_j(0) > 0,
 u_{j+1} u_{j-1} = u_j'^2 - u_j u_j'' (Desnanot-Jacobi), so k - 1 exact
@@ -22,8 +22,8 @@ extends each level only as far as a caller asks, so a longer prefix
 costs only its new terms.  The limit's f has rational coefficients,
 made integers by a factorial scale; when f grows, level j is rescaled by
 the j-th power of the scale's growth, since u_j has degree j in f, and
-nothing stored is recomputed.  :func:`coeff_vector` and
-:func:`limit_coeff_vector` form the Fractions c_p on each call.
+nothing stored is recomputed.  :func:`coeff_vector` forms the Fractions
+c_p on each call.
 
 ``series_coeff(p, k, n)`` and ``series_coeff_limit(p, k)`` are the same
 coefficients as sums over partitions of p into at most k parts.  They stay
@@ -138,40 +138,28 @@ def _ratios(h: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, factorial(p) * h[0]) for p, x in enumerate(h))
 
 
-def coeff_numerators(k: int, n: int, P: int) -> tuple[int, ...]:
-    """Integer Hurwitz numerators h_0..h_min(P, kn) at size n: c_p = h_p / (p! h_0), h_0 > 0.
+def coeff_numerators(k: int, n: int | None, P: int) -> tuple[int, ...]:
+    """Integer Hurwitz numerators at size n, n None for the limit: c_p = h_p / (p! h_0), h_0 > 0.
 
-    Coefficients beyond kn are zero and are not returned.
+    At size n they are h_0..h_min(P, kn): coefficients beyond kn are zero
+    and are not returned.  The limit's are h_0..h_P, at the scale of the
+    limit state when called, so the h_p of two calls may differ by a
+    constant factor.
     """
-    if k < 1 or n < 1 or P < 0:
-        raise ValueError(f"need k >= 1, n >= 1, P >= 0, got {(k, n, P)}")
-    P = min(P, k * n)
+    if k < 1 or P < 0 or (n is not None and n < 1):
+        raise ValueError(f"need k >= 1, n >= 1 or None, P >= 0, got {(k, n, P)}")
+    P = P if n is None else min(P, k * n)
     return tuple(_condensation(k, n).numerators(P)[: P + 1])
 
 
-def limit_coeff_numerators(k: int, P: int) -> tuple[int, ...]:
-    """Integer Hurwitz numerators h_0..h_P of the limiting coefficients: c_p = h_p / (p! h_0), h_0 > 0.
+def coeff_vector(k: int, n: int | None, P: int) -> tuple[Fraction, ...]:
+    """The coefficients c_0..c_P of the reduced moment polynomial at size n, or of its limit for n None.
 
-    They carry the scale of the limit state when called, so the h_p of two
-    calls may differ by a constant factor.
-    """
-    if k < 1 or P < 0:
-        raise ValueError(f"need k >= 1 and P >= 0, got {(k, P)}")
-    return tuple(_condensation(k, None).numerators(P)[: P + 1])
-
-
-def coeff_vector(k: int, n: int, P: int) -> tuple[Fraction, ...]:
-    """The coefficients c_0..c_min(P, kn) of the reduced moment polynomial at size n.
-
-    c_p equals ``series_coeff(p, k, n)``; coefficients beyond kn are zero
-    and are not returned.
+    c_p equals ``series_coeff(p, k, n)``, or ``series_coeff_limit(p, k)``
+    for n None; at size n coefficients beyond kn are zero and are not
+    returned.
     """
     return _ratios(coeff_numerators(k, n, P))
-
-
-def limit_coeff_vector(k: int, P: int) -> tuple[Fraction, ...]:
-    """The limiting coefficients c_0..c_P, each equal to ``series_coeff_limit(p, k)``."""
-    return _ratios(limit_coeff_numerators(k, P))
 
 
 def _partition_sum(p: int, k: int, n: int | None) -> Fraction:

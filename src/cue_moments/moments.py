@@ -14,11 +14,14 @@ polynomial and the weight w_p depends only on the parity of two_h and on
 n.  The engine, :func:`~cue_moments.coefficients.coeff_numerators`, gives
 integers h_p with c_p = h_p / (p! h_0); the sum runs over integers above
 the one denominator P! n^max(P - two_h, 0) h_0, and the moment becomes a
-Fraction once.  The limit is the same sum at n = 1 over
-:func:`~cue_moments.coefficients.limit_coeff_numerators`, times
-:func:`limit_moment_zero`; for odd two_h a stopping rule picks where the
-prefix ends, asking the engine for one more term at a time, and that rule
-is all that is specific to the limit.
+Fraction once.  The limit is the same sum at n = 1 over the engine's
+limit numerators (n None), times :func:`limit_moment_zero`.
+
+:func:`exact_moment` is the one entry for every exact value: n None asks
+for the limit, as it does of the engine.  For odd two_h the limit is a
+truncated series, :func:`limit_moment_half_h`: a stopping rule picks
+where the prefix ends, asking the engine for one more term at a time,
+and that rule is all that is specific to the limit.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .coefficients import coeff_numerators, limit_coeff_numerators
+from .coefficients import coeff_numerators
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,8 @@ class ExactScalar:
         if math.isinf(value):
             raise OverflowError("q/pi is beyond the float range")
         return value
+
+    __float__ = to_float
 
     def __str__(self) -> str:
         num, den = Decimal(self.q.numerator), self.q.denominator
@@ -155,20 +160,39 @@ def _recombine(two_h: int, n: int, zeroth: Fraction, h: tuple[int, ...]) -> Frac
     return Fraction(prefactor.numerator * total, prefactor.denominator * _scale(two_h, n, P) * h[0])
 
 
+def exact_moment(n: int | None, two_h: int, k: int) -> Fraction | ExactScalar:
+    """The moment of order (two_h, k) at size n, or its scaled limit for n None.
+
+    A Fraction for even two_h, an :class:`ExactScalar` (q/pi) for odd
+    two_h.  The limit of odd two_h is no exact value but a truncated
+    series: asking for it raises ValueError.
+    """
+    MomentOrder(two_h, k)
+    odd = two_h % 2
+    if n is None and odd:
+        raise ValueError(f"the limit of odd two_h={two_h} is a truncated series: use limit_moment_half_h")
+    zeroth = limit_moment_zero(k) if n is None else keating_snaith(n, k)
+    if two_h == 0:
+        return zeroth
+    value = _recombine(two_h, 1 if n is None else n, zeroth, coeff_numerators(k, n, k * n if odd else two_h))
+    return ExactScalar(value) if odd else value
+
+
 def moment_integer_h(n: int, h: int, k: int) -> Fraction:
-    """Joint moment for integer h >= 1, exact rational; needs an admissible order (2h, k)."""
+    """Joint moment for integer h >= 1, exact rational; needs an admissible order (2h, k).
+
+    n None gives the scaled limit, as :func:`exact_moment` does.
+    """
     if h < 1:
         raise ValueError(f"h must be a positive integer, got {h}; use keating_snaith for h = 0")
-    MomentOrder(2 * h, k)
-    return _recombine(2 * h, n, keating_snaith(n, k), coeff_numerators(k, n, 2 * h))
+    return exact_moment(n, 2 * h, k)
 
 
 def moment_half_h(n: int, two_h: int, k: int) -> ExactScalar:
     """Joint moment for half-integer h = two_h / 2 (two_h odd), an exact rational multiple of 1/pi."""
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be odd, got {two_h}; use moment_integer_h")
-    MomentOrder(two_h, k)
-    return ExactScalar(_recombine(two_h, n, keating_snaith(n, k), coeff_numerators(k, n, k * n)))
+    return exact_moment(n, two_h, k)
 
 
 def half_moment_k1_closed(n: int) -> ExactScalar:
@@ -181,14 +205,6 @@ def half_moment_k1_closed(n: int) -> ExactScalar:
         raise ValueError(f"n must be positive, got {n}")
     total = sum(comb(n + 2, j + 3) * 2 ** j * n ** (n - 1 - j) for j in range(n))
     return ExactScalar(Fraction(2 * total, n ** n))
-
-
-def limit_moment_integer_h(h: int, k: int) -> Fraction:
-    """Scaled limit of the integer-h moment, exact rational; needs an admissible order (2h, k)."""
-    if h < 1:
-        raise ValueError(f"h must be a positive integer, got {h}")
-    MomentOrder(2 * h, k)
-    return _recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_numerators(k, 2 * h))
 
 
 def _majorant_terms(two_h: int, k: int, tol: float) -> int:
@@ -228,15 +244,15 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
 
     # t_q = w_q c_q is T_q / (q! h_0) with the integer T_q = _weight(q, two_h, 1, q) h_q, so
     # t_p < tol/2 and 2 t_p < t_(p-1) compare integers of one vector h, at one scale.
-    half_tol = Fraction(tol) / 2
+    tol_num, tol_den = Fraction(tol).as_integer_ratio()
     p = two_h + 2 * k + 4
     cap = 2 * max(p, _majorant_terms(two_h, k, tol))
     while True:
-        h = limit_coeff_numerators(k, p)
+        h = coeff_numerators(k, None, p)
         term, previous = (_weight(q, two_h, 1, q) * h[q] for q in (p, p - 1))
         if min(term, previous) < 0:  # h_0 > 0, so t_p and T_p share a sign
             raise ArithmeticError(f"limit term t_{p - 1} or t_{p}, past two_h, is negative: wrong engine")
-        if term < half_tol * factorial(p) * h[0] and 2 * term < p * previous:
+        if 2 * tol_den * term < tol_num * factorial(p) * h[0] and 2 * term < p * previous:
             break
         p += 1
         if p > cap:

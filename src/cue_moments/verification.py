@@ -1,35 +1,36 @@
 """Exact identity suites used by the CLI ``verify`` command.
 
-Each suite runs an identity that must hold exactly in rational arithmetic
-and reports how many cases were checked and how many failed.  A correct
-build fails nowhere.  Every suite checks the code that computes printed
-values against an independent oracle, or checks an oracle that such a
-suite relies on: the engine's coefficients meet the partition sums
+Each suite runs an identity that must hold exactly in rational arithmetic,
+or, for the half-integer limit, a bound that must hold, and reports how
+many cases were checked and how many failed.  A correct build fails
+nowhere.  Every suite checks the code that computes printed values
+against an independent oracle, or checks an oracle that such a suite
+relies on: the engine's coefficients meet the partition sums
 (``coefficient-engine``, ``vanishing-residuals``), its reduced polynomial
 meets the Wronskian, Hankel and series routes (``three-route-identity``),
-and the moments meet a closed form (``half-moment-closed-form``); the
-partition sums in turn meet the hook, transpose, bound and closed-form
-identities.
+the moments meet a closed form (``half-moment-closed-form``), and the
+half-integer limit lies within its tail bound of an exact sum over
+closed-form coefficients (``half-limit-tail-bound``); the partition sums
+in turn meet the hook, transpose, bound and closed-form identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterable
 
 from .coefficients import (
     binomial_residual,
     coeff_vector,
     hook_content_sum,
-    limit_coeff_vector,
     series_coeff,
     series_coeff_bound,
     series_coeff_closed,
     series_coeff_limit,
 )
-from .moments import half_moment_k1_closed, moment_half_h
+from .moments import ExactScalar, _recombine, half_moment_k1_closed, limit_moment_half_h, limit_moment_zero, moment_half_h
 from .partitions import hook_product, partitions_of, pochhammer, transpose
 from .specfun import moment_gen_engine, moment_gen_hankel, moment_gen_series, moment_gen_wronskian
 
@@ -144,7 +145,7 @@ def check_coefficient_engine() -> CheckResult:
             for n in range(1, 9):
                 yield coeff_vector(k, n, k * n) == tuple(series_coeff(p, k, n) for p in range(k * n + 1))
             for P in (10, 20):
-                yield limit_coeff_vector(k, P) == tuple(series_coeff_limit(p, k) for p in range(P + 1))
+                yield coeff_vector(k, None, P) == tuple(series_coeff_limit(p, k) for p in range(P + 1))
     return _run("coefficient-engine", cases())
 
 
@@ -153,6 +154,25 @@ def check_half_moment_closed_form() -> CheckResult:
         "half-moment-closed-form",
         (moment_half_h(n, 1, 1) == half_moment_k1_closed(n) for n in range(1, 51)),
     )
+
+
+def check_half_limit_tail_bound() -> CheckResult:
+    """The half-integer limit within its tail bound of an exact sum, and that bound within tol.
+
+    The reference recombines, with the limit's own weights, c_0..c_45 of
+    the k <= 2 closed forms (``series_coeff_closed``), not the engine's
+    or the partition sums'; its terms past p = 45 are below 1e-80.
+    """
+    def cases():
+        for two_h, k in ((1, 1), (1, 2), (3, 2)):
+            hurwitz = [series_coeff_closed(p, k) * factorial(p) for p in range(46)]
+            scale = lcm(*(c.denominator for c in hurwitz))
+            h = [c.numerator * (scale // c.denominator) for c in hurwitz]
+            reference = float(ExactScalar(_recombine(two_h, 1, limit_moment_zero(k), h)))
+            for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+                result = limit_moment_half_h(two_h, k, tol)
+                yield abs(result.value - reference) <= result.tail_bound <= tol
+    return _run("half-limit-tail-bound", cases())
 
 
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
@@ -164,6 +184,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_three_route_identity,
     check_coefficient_engine,
     check_half_moment_closed_form,
+    check_half_limit_tail_bound,
 )
 
 

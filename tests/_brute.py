@@ -217,16 +217,16 @@ def fraction_limit_half_h(two_h: int, k: int, tol: float, coeff_vector, zeroth) 
 
     Stops at the first p >= two_h + 2k + 4 with t_p < tol/2 and
     2 t_p < t_(p-1), t_p = w_p c_p, regrowing the vector 1.5 times when p
-    runs past it; ``coeff_vector(k, P)`` gives c_0..c_P.
+    runs past it; ``coeff_vector(k, None, P)`` gives the limit's c_0..c_P.
     """
     half_tol = Fraction(tol) / 2
     p = two_h + 2 * k + 4
-    coeffs = coeff_vector(k, p)
+    coeffs = coeff_vector(k, None, p)
     previous, term = (fraction_weight(q, two_h, 1) * coeffs[q] for q in (p - 1, p))
     while not (term < half_tol and 2 * term < previous):
         p += 1
         if p == len(coeffs):
-            coeffs = coeff_vector(k, p + p // 2)
+            coeffs = coeff_vector(k, None, p + p // 2)
         previous, term = term, fraction_weight(p, two_h, 1) * coeffs[p]
     value = fraction_recombine(two_h, 1, zeroth, coeffs[:p + 1])
     return p - two_h, value, abs(fraction_prefactor(two_h, zeroth)) * 2 * term

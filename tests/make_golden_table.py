@@ -8,12 +8,12 @@ that would change, be added or be removed (the committed row, then the
 computed one), and exits 1 if the file would change at all, 0 if not.
 
 Rows are the ``moment`` exact string of every admissible (n, two_h, k) with
-n <= 12 and k <= 4, then ``limit_moment_integer_h(h, k)`` for k <= 6 and
-1 <= h <= k, in the form the CLI prints.  The committed table was written
-while the package still summed these coefficients over partitions
-(``series_coeff``, ``series_coeff_limit``), so the test holds the
-determinant engine to that independent route.  Rewrite the table only
-from a commit whose exact outputs are trusted.
+n <= 12 and k <= 4, then the scaled limit ``exact_moment(None, 2h, k)``
+for k <= 6 and 1 <= h <= k, in the form the CLI prints.  The committed
+table was written while the package still summed these coefficients over
+partitions (``series_coeff``, ``series_coeff_limit``), so the test holds
+the determinant engine to that independent route.  Rewrite the table
+only from a commit whose exact outputs are trusted.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import sys
 from operator import itemgetter
 from typing import Iterator
 
-from cue_moments.cli import _exact_moment, format_exact
-from cue_moments.moments import limit_moment_integer_h
+from cue_moments.cli import format_exact
+from cue_moments.moments import exact_moment
 
 GOLDEN_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_moments.csv")
 FIELDS = ("kind", "n", "two_h", "k", "exact")
@@ -37,11 +37,11 @@ def golden_rows() -> Iterator[dict[str, str]]:
     for n in range(1, 13):
         for k in range(1, 5):
             for two_h in range(2 * k + 1):
-                exact = format_exact(_exact_moment(n, two_h, k))
+                exact = format_exact(exact_moment(n, two_h, k))
                 yield {"kind": "moment", "n": str(n), "two_h": str(two_h), "k": str(k), "exact": exact}
     for k in range(1, 7):
         for h in range(1, k + 1):
-            exact = format_exact(limit_moment_integer_h(h, k))
+            exact = format_exact(exact_moment(None, 2 * h, k))
             yield {"kind": "limit", "n": "", "two_h": str(2 * h), "k": str(k), "exact": exact}
 
 

@@ -17,14 +17,7 @@ from cue_moments.coefficients import (
     series_coeff_closed,
     series_coeff_limit,
 )
-from cue_moments.moments import (
-    half_moment_k1_closed,
-    keating_snaith,
-    limit_moment_half_h,
-    limit_moment_integer_h,
-    moment_half_h,
-    moment_integer_h,
-)
+from cue_moments.moments import exact_moment, half_moment_k1_closed, limit_moment_half_h, moment_half_h
 from cue_moments.oracles import closed_form_moment_integral, mc_moment, quad_moment_integral
 from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
 from cue_moments.specfun import moment_gen_engine, moment_gen_hankel, moment_gen_series, moment_gen_wronskian
@@ -78,9 +71,9 @@ def test_criterion_2_k2_half_limits():
 
 def test_criterion_3_integer_limits_exact():
     values = (
-        limit_moment_integer_h(1, 1),
-        limit_moment_integer_h(1, 2),
-        limit_moment_integer_h(2, 2),
+        exact_moment(None, 2, 1),
+        exact_moment(None, 2, 2),
+        exact_moment(None, 4, 2),
     )
     expected = (Fraction(1, 12), Fraction(1, 720), Fraction(1, 6720))
     report(3, values == expected, f"integer-h limits {values} == (1/12, 1/720, 1/6720) exactly")
@@ -144,12 +137,7 @@ def test_criterion_7_monte_carlo():
     details = []
     ok = True
     for n, two_h, k in ((3, 0, 1), (3, 2, 1), (5, 1, 1), (4, 1, 2)):
-        if two_h == 0:
-            exact = float(keating_snaith(n, k))
-        elif two_h % 2 == 0:
-            exact = float(moment_integer_h(n, two_h // 2, k))
-        else:
-            exact = moment_half_h(n, two_h, k).to_float()
+        exact = float(exact_moment(n, two_h, k))
         estimate = mc_moment(n, two_h, k, 200_000, MC_SEED)
         z = (estimate.mean - exact) / estimate.stderr
         if abs(z) > 3.0:  # one retry at 4 sigma permitted

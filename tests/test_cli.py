@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from cue_moments import moments, oracles
-from cue_moments.cli import _decimal, _exact_moment, build_parser, format_exact, main
-from cue_moments.moments import ExactScalar, MomentOrder, keating_snaith
+from cue_moments.cli import _decimal, build_parser, format_exact, main
+from cue_moments.moments import ExactScalar, MomentOrder, exact_moment, keating_snaith
 
 from _brute import decimal_15g, decimal_digits
 
@@ -52,14 +52,14 @@ class TestFormatting:
             assert _decimal(ExactScalar(q)) == decimal_15g(q, over_pi=True)
         for k in range(1, 5):
             for two_h, n in product(range(2 * k + 1), range(1, 13)):
-                exact = _exact_moment(n, two_h, k)
+                exact = exact_moment(n, two_h, k)
                 over_pi = isinstance(exact, ExactScalar)
                 assert _decimal(exact) == decimal_15g(exact.q if over_pi else exact, over_pi), (n, two_h, k)
         # A float detour rounds the first four twice; the last is an exact tie, kept even.
         for cell, shown in [((9, 5, 3), "6060611.33734839"), ((12, 1, 2), "4310.69919244354"),
                             ((4, 7, 4), "75728.6291735738"), ((19, 8, 4), "4.86214584532719e+16"),
                             ((7, 8, 4), "651389684.257812")]:
-            assert _decimal(_exact_moment(*cell)) == shown, cell
+            assert _decimal(exact_moment(*cell)) == shown, cell
 
 
 class TestMomentCommand:
@@ -143,12 +143,12 @@ class TestLimitCommand:
         # At (two_h, k) = (1, 6) the stopping rule first reads t_17 and t_16.  A
         # correct engine's terms past two_h are positive; a negative c_q once
         # counted as settled and printed a negative tail_bound.
-        engine = moments.limit_coeff_numerators
+        engine = moments.coeff_numerators
 
-        def negative(k, P):
-            h = engine(k, P)
-            return h[:q] + (-h[q],) + h[q + 1:] if P >= q else h
-        monkeypatch.setattr(moments, "limit_coeff_numerators", negative)
+        def negative(k, n, P):
+            h = engine(k, n, P)
+            return h[:q] + (-h[q],) + h[q + 1:] if n is None and P >= q else h
+        monkeypatch.setattr(moments, "coeff_numerators", negative)
         for output_format in ("text", "json", "csv"):
             code, out, err = run_cli(capsys, "limit", "--two-h", "1", "--k", "6", "--tol", "1e-12",
                                      "--format", output_format)

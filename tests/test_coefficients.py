@@ -5,9 +5,9 @@ import pytest
 
 from cue_moments.coefficients import (
     binomial_residual,
+    coeff_numerators,
     coeff_vector,
     hook_content_sum,
-    limit_coeff_vector,
     series_coeff,
     series_coeff_bound,
     series_coeff_closed,
@@ -91,16 +91,16 @@ class TestCoeffVector:
     def test_limit_equals_partition_sums(self):
         for k in range(1, 7):
             expected = tuple(series_coeff_limit(p, k) for p in range(31))
-            assert limit_coeff_vector(k, 30) == expected, k
-            assert limit_coeff_vector(k, 12) == expected[:13]
+            assert coeff_vector(k, None, 30) == expected, k
+            assert coeff_vector(k, None, 12) == expected[:13]
 
     def test_rejects_bad_arguments(self):
-        for args in ((0, 1, 1), (1, 0, 1), (1, 1, -1)):
+        for args in ((0, 1, 1), (1, 0, 1), (1, 1, -1), (0, None, 1), (1, None, -1)):
             with pytest.raises(ValueError):
                 coeff_vector(*args)
-        for args in ((0, 1), (1, -1)):
+        for args in ((2, 0, 3), (2, None, -1)):
             with pytest.raises(ValueError):
-                limit_coeff_vector(*args)
+                coeff_numerators(*args)
 
 
 class TestSeriesCoeffLimit:

@@ -12,17 +12,15 @@ from cue_moments.coefficients import (
     _ratios,
     coeff_numerators,
     coeff_vector,
-    limit_coeff_numerators,
-    limit_coeff_vector,
     series_coeff,
 )
 from cue_moments.moments import (
     ExactScalar,
     _recombine,
+    exact_moment,
     half_moment_k1_closed,
     keating_snaith,
     limit_moment_half_h,
-    limit_moment_integer_h,
     limit_moment_zero,
     moment_half_h,
     moment_integer_h,
@@ -206,14 +204,14 @@ class TestRecombination:
     def test_integer_limits_equal_the_fraction_recombination(self):
         for k in range(1, 7):
             for h in range(1, k + 1):
-                expected = fraction_recombine(2 * h, 1, limit_moment_zero(k), limit_coeff_vector(k, 2 * h))
-                assert limit_moment_integer_h(h, k) == expected, (h, k)
+                expected = fraction_recombine(2 * h, 1, limit_moment_zero(k), coeff_vector(k, None, 2 * h))
+                assert exact_moment(None, 2 * h, k) == expected, (h, k)
 
     def test_half_limit_equals_the_fraction_stopping_rule_bit_for_bit(self):
         for k in range(1, 7):
             for two_h in range(1, 2 * k + 1, 2):
                 for tol in (1e-2, 1e-4, 1e-8, 1e-12):
-                    terms, value, tail = fraction_limit_half_h(two_h, k, tol, limit_coeff_vector, limit_moment_zero(k))
+                    terms, value, tail = fraction_limit_half_h(two_h, k, tol, coeff_vector, limit_moment_zero(k))
                     _condensation.cache_clear()
                     result = limit_moment_half_h(two_h, k, tol)
                     # A fresh limit state condenses exactly the numerators the stopping rule reads.
@@ -228,5 +226,5 @@ class TestRecombination:
                 h = coeff_numerators(k, n, k * n)
                 assert h[0] > 0 and all(type(x) is int for x in h)
                 assert coeff_vector(k, n, k * n) == tuple(Fraction(x, factorial(p) * h[0]) for p, x in enumerate(h))
-            h = limit_coeff_numerators(k, 12)
+            h = coeff_numerators(k, None, 12)
             assert h[0] > 0 and all(type(x) is int for x in h)

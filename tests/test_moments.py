@@ -7,15 +7,15 @@ from math import comb
 import pytest
 
 from cue_moments import moments
-from cue_moments.coefficients import coeff_numerators, limit_coeff_numerators, limit_coeff_vector
+from cue_moments.coefficients import coeff_numerators, coeff_vector
 from cue_moments.moments import (
     ExactScalar,
     MomentOrder,
     _recombine,
+    exact_moment,
     half_moment_k1_closed,
     keating_snaith,
     limit_moment_half_h,
-    limit_moment_integer_h,
     limit_moment_zero,
     moment_half_h,
     moment_integer_h,
@@ -110,7 +110,7 @@ class TestIntegerMoments:
         for k in range(1, 5):
             for n in range(1, 9):
                 assert _recombine(0, n, keating_snaith(n, k), coeff_numerators(k, n, 0)) == keating_snaith(n, k)
-            assert _recombine(0, 1, limit_moment_zero(k), limit_coeff_numerators(k, 0)) == limit_moment_zero(k)
+            assert _recombine(0, 1, limit_moment_zero(k), coeff_numerators(k, None, 0)) == limit_moment_zero(k)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
@@ -136,6 +136,10 @@ class TestHalfMoments:
             moment_half_h(3, 2, 1)
         with pytest.raises(ValueError):
             moment_half_h(3, 5, 2)
+        # The half-integer limit is a truncated series, not an exact moment.
+        for two_h, k in ((1, 1), (3, 2)):
+            with pytest.raises(ValueError, match="limit_moment_half_h"):
+                exact_moment(None, two_h, k)
 
     def test_closed_form_examples(self):
         assert half_moment_k1_closed(1).q == 2
@@ -161,16 +165,18 @@ class TestLimits:
         assert limit_moment_zero(1) == 1
         assert limit_moment_zero(2) == Fraction(1, 12)
         assert limit_moment_zero(3) == Fraction(1, 8640)
+        for k in range(1, 4):
+            assert exact_moment(None, 0, k) == limit_moment_zero(k)
 
     def test_integer_limits(self):
-        assert limit_moment_integer_h(1, 1) == Fraction(1, 12)
-        assert limit_moment_integer_h(1, 2) == Fraction(1, 720)
-        assert limit_moment_integer_h(2, 2) == Fraction(1, 6720)
+        assert exact_moment(None, 2, 1) == Fraction(1, 12)
+        assert exact_moment(None, 2, 2) == Fraction(1, 720)
+        assert exact_moment(None, 4, 2) == Fraction(1, 6720)
 
     def test_integer_limit_matches_scaled_cubic(self):
         # n(n+1)(n+2)/12 scaled by n^3 has limit 1/12, the degree-3 coefficient
         cubic_leading = Fraction(1, 12)
-        assert limit_moment_integer_h(1, 1) == cubic_leading
+        assert exact_moment(None, 2, 1) == cubic_leading
 
     def test_half_limit_k1(self):
         result = limit_moment_half_h(1, 1, 1e-12)
@@ -194,7 +200,7 @@ class TestLimits:
                  for tol in (1e-4, 1e-8, 1e-12)]
         for two_h, k, tol in cells + [(11, 6, 1e-12)]:
             result = limit_moment_half_h(two_h, k, tol)
-            coeffs = limit_coeff_vector(k, 2 * (two_h + result.terms_used))
+            coeffs = coeff_vector(k, None, 2 * (two_h + result.terms_used))
             reference = ExactScalar(fraction_recombine(two_h, 1, limit_moment_zero(k), coeffs)).to_float()
             assert abs(result.value - reference) <= result.tail_bound <= tol, (two_h, k, tol)
 
@@ -209,7 +215,9 @@ class TestLimits:
     def test_half_limit_stops_a_wrong_engine_instead_of_hanging(self, monkeypatch):
         # h_p = p! makes every c_p = 1, so the terms grow and the stopping rule never holds.
         factorials = tuple(map(math.factorial, range(1000)))
-        monkeypatch.setattr(moments, "limit_coeff_numerators", lambda k, P: factorials[: P + 1])
+        engine = moments.coeff_numerators
+        monkeypatch.setattr(moments, "coeff_numerators",
+                            lambda k, n, P: factorials[: P + 1] if n is None else engine(k, n, P))
         start = time.perf_counter()
         for two_h, k, tol in ((1, 1, 1e-12), (1, 8, 1e-12), (13, 7, 1e-12), (1, 1, 1e-300)):
             with pytest.raises(ArithmeticError, match="did not settle"):

@@ -11,7 +11,7 @@ import pytest
 from _haar import haar_v_values
 from cue_moments import oracles
 from cue_moments.coefficients import coeff_vector
-from cue_moments.moments import keating_snaith, moment_half_h, moment_integer_h
+from cue_moments.moments import exact_moment, keating_snaith
 from cue_moments.oracles import (
     MCEstimate,
     QuadratureError,
@@ -26,17 +26,9 @@ SEED = 2026
 RETRY_SEED = 2027
 
 
-def exact_moment_float(n, two_h, k):
-    if two_h == 0:
-        return float(keating_snaith(n, k))
-    if two_h % 2 == 0:
-        return float(moment_integer_h(n, two_h // 2, k))
-    return moment_half_h(n, two_h, k).to_float()
-
-
 def assert_within_sigma(n, two_h, k, trials=200_000):
     """3-sigma check with the one permitted retry at 4 sigma."""
-    exact = exact_moment_float(n, two_h, k)
+    exact = float(exact_moment(n, two_h, k))
     est = mc_moment(n, two_h, k, trials, SEED)
     if abs(est.mean - exact) <= 3 * est.stderr:
         return est
