@@ -16,13 +16,17 @@ Verblunsky coefficients alpha_0, ..., alpha_{n-1}: for j < n - 1,
 |alpha_j|^2 ~ Beta(1, n - j - 1) with a uniform phase, and alpha_{n-1} is
 uniform on the unit circle.  As Phi*_j(1) = conj(Phi_j(1)), carrying
 Phi_j(1) and the derivatives of Phi_j and Phi*_j at z = 1 through the
-recursion yields |V| and |V'| in O(n) work per trial.  One PCG64 stream per
-call is read in order, trial t taking its own window of 2n - 1 doubles; each
-phase is the cosine and sine of an eighth of its angle, squared three times,
-which costs far less than a complex exponential.  A call allocates its
-arrays once and every batch is written into them, so no batch asks the
-system for fresh pages.  The test suite checks this sampler in distribution
-against QR-corrected complex Ginibre matrices (Mezzadri, Notices AMS 2007).
+recursion yields |V| and |V'| in O(n) work per trial.  The doubles come
+from a counter-based SplitMix64 stream (Steele, Lea and Flood, OOPSLA 2014)
+written with numpy's integer ufuncs, so the oracle imports nothing beyond
+numpy's core, whose random module alone took longer to import than a small
+call takes to sample.  Trial t reads its own window of 2n - 1 doubles of
+the stream; each phase is the cosine and sine of an eighth of its angle,
+squared three times, which costs far less than a complex exponential.  A
+call allocates its arrays once and every batch is written into them, so no
+batch asks the system for fresh pages.  The test suite checks this sampler
+in distribution against QR-corrected complex Ginibre matrices (Mezzadri,
+Notices AMS 2007).
 """
 
 from __future__ import annotations
@@ -43,6 +47,13 @@ from .specfun import moment_gen_engine
 # per trial stays near _MC_BATCH_DOUBLES (32 MB) and memory is O(batch) at any n.
 _MC_BATCH = 4096
 _MC_BATCH_DOUBLES = 2 ** 22
+# Words of the stream mixed at a time: a chunk's counters, its mixed words
+# and the part of the window they fill stay in cache through the dozen
+# passes of the mix, where a whole batch's words would not.  A full batch at
+# n <= 4 is one chunk.
+_STREAM_CHUNK = 2 ** 15
+# SplitMix64's increment.
+_GAMMA = 0x9E3779B97F4A7C15
 # Largest matrix size quad_moment_integral accepts.  At the default tol 1e-8
 # its relative error on the k <= 4, |zeta| <= 30 grid is at most 1.4e-6 at
 # n = 4 and 2.9e-5 at n = 5, but 8e-2 at n = 6, where values near 1e-10
@@ -71,26 +82,77 @@ class MCEstimate:
     redraws: int = 0
 
 
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on the uint64 array z, in place; t is scratch of z's shape."""
+    np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=t), out=z)
+    np.multiply(z, np.uint64(0xBF58476D1CE4E5B9), out=z)
+    np.bitwise_xor(z, np.right_shift(z, np.uint64(27), out=t), out=z)
+    np.multiply(z, np.uint64(0x94D049BB133111EB), out=z)
+    return np.bitwise_xor(z, np.right_shift(z, np.uint64(31), out=t), out=z)
+
+
+class _SplitMix64:
+    """The SplitMix64 stream of a seed in [0, 2^64).
+
+    Word i is mix(key + (i + 1) gamma mod 2^64), as in Vigna's splitmix64.c,
+    with gamma = 0x9E3779B97F4A7C15 and key the first output of state
+    ``seed``, so neighbouring seeds do not share a shifted stream.  Its
+    double i is (word i >> 11) 2^-53 in [0, 1), as numpy's generators form
+    their doubles.  Any window is read without the words before it.  The
+    uint64 scratch of one chunk, at most ``size`` words, is allocated once
+    and reused by every read.
+    """
+
+    def __init__(self, seed: int, size: int) -> None:
+        chunk = min(size, _STREAM_CHUNK)
+        # Every integer operand is a numpy uint64, and every sum of them that
+        # may pass 2^64 is an array or is formed in Python ints mod 2^64:
+        # array arithmetic wraps silently, while a numpy scalar that overflows warns.
+        self._steps = np.multiply(np.arange(chunk, dtype=np.uint64), np.uint64(_GAMMA))
+        self._z = np.empty(chunk, np.uint64)
+        self._key = int(_mix(np.array([(seed + _GAMMA) % 2 ** 64], np.uint64), np.empty(1, np.uint64))[0])
+
+    def fill(self, start: int, out: np.ndarray) -> None:
+        """Write word i >> 11 for i = start, ..., start + out.size - 1 into the flat float64 array out.
+
+        These are the stream's doubles times 2^53: the reader scales them by
+        2^-53 in its first pass over them, which is exact, and saves a pass here.
+        """
+        chunk = len(self._z)
+        for offset in range(0, out.size, chunk):
+            size = min(chunk, out.size - offset)
+            z, part = self._z[:size], out[offset : offset + size]
+            # key + (i + 1) gamma for the chunk's first word i.
+            first = np.uint64((self._key + (start + offset + 1) * _GAMMA) % 2 ** 64)
+            np.add(self._steps[:size], first, out=z)
+            # The part of out this chunk fills is the mix's scratch until then.
+            np.right_shift(_mix(z, part.view(np.uint64)), np.uint64(11), out=z)
+            # Below 2^53 the words convert exactly, and faster as int64.
+            part[...] = z.view(np.int64)
+
+
 def _verblunsky_batches(n: int, seed: int, trials: int, batch: int) -> Iterator[np.ndarray]:
     """Verblunsky coefficients of trials 0, ..., trials - 1, ``batch`` at a time, shape (count, n).
 
-    One PCG64 stream seeded by ``seed`` is read in order.  Trial t takes its
-    doubles t(2n - 1), ..., (t + 1)(2n - 1) - 1: n - 1 for the moduli, then n
-    for the phases, no padding.  So each trial's coefficients depend on
-    (seed, t) alone, whatever the batch.  The phase e^(i theta) is
+    Trial t takes doubles t(2n - 1), ..., (t + 1)(2n - 1) - 1 of the
+    SplitMix64 stream of ``seed``: n - 1 for the moduli, then n for the
+    phases, no padding.  So each trial's coefficients depend on (seed, t)
+    alone, whatever the batch.  The phase e^(i theta) is
     (cos + i sin)(theta/8) squared three times: on [0, pi/4) ``np.sin`` is
     fast and the cosine is sqrt(1 - sin^2) without cancellation.  That costs
     about a quarter of a complex exponential and stays within 2e-15 of it;
     |alpha_(n-1)| is 1 within 2e-15.
 
-    The stream window, the coefficients and one row of scratch per
-    coefficient are allocated once, and every batch is written into them.
+    The stream window and its uint64 scratch, the coefficients and one row
+    of scratch per coefficient are allocated once, and every batch is
+    written into them.
     Each yielded array is a view that the next batch overwrites.  It is
     Fortran-ordered, so each coefficient's column is contiguous for
     :func:`_szego_at_one`.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = np.empty((batch, 2 * n - 1))
+    width = 2 * n - 1
+    stream = _SplitMix64(seed, batch * width)
+    draws = np.empty((batch, width))
     # Flat, so that a short last batch is contiguous too: numpy squares a
     # strided complex array in another loop, which rounds differently.
     alpha = np.empty(n * batch, complex)
@@ -100,16 +162,19 @@ def _verblunsky_batches(n: int, seed: int, trials: int, batch: int) -> Iterator[
     m = np.arange(n - 1, 0, -1.0)[:, None]
     for start in range(0, trials, batch):
         count = min(batch, trials - start)
-        u = rng.random(out=draws[:count]).T
+        stream.fill(start * width, draws[:count].reshape(-1))
+        u = draws[:count].T
         a, part = alpha[: n * count].reshape(n, count), scratch[: n * count].reshape(n, count)
-        np.multiply(u[n - 1 :], math.pi / 4, out=part)
+        # u is the stream's doubles times 2^53; scaling by a power of 2 is
+        # exact, so each product below equals that of the double bit for bit.
+        np.multiply(u[n - 1 :], math.pi / 4 * 2.0 ** -53, out=part)
         np.sin(part, out=a.imag)
         np.subtract(1.0, np.square(a.imag, out=part), out=part)
         np.sqrt(part, out=a.real)
         for _ in range(3):
             np.square(a, out=a)
         radius = part[: n - 1]
-        np.log1p(np.negative(u[: n - 1], out=radius), out=radius)
+        np.log1p(np.multiply(u[: n - 1], -(2.0 ** -53), out=radius), out=radius)
         np.sqrt(np.negative(np.expm1(np.divide(radius, m, out=radius), out=radius), out=radius), out=radius)
         np.multiply(a.real[: n - 1], radius, out=a.real[: n - 1])
         np.multiply(a.imag[: n - 1], radius, out=a.imag[: n - 1])
@@ -172,9 +237,9 @@ def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
     one batch's stream window holds about 2^22 doubles at any n, and all its
     arrays about 2.5 times that.  The stream window, the coefficients and the
     recursion's arrays are allocated once per call and reused by every
-    batch.  Trial t reads a fixed window of 2n - 1 doubles of the PCG64
-    stream seeded by ``seed`` (an integer in [0, 2^64)), so the estimate is
-    bit-identical for fixed (seed, trials).
+    batch.  Trial t reads a fixed window of 2n - 1 doubles of the
+    counter-based SplitMix64 stream of ``seed`` (an integer in [0, 2^64)), so
+    the estimate is bit-identical for fixed (seed, trials).
     Non-finite samples are left out of the mean and standard error and
     counted in ``redraws``; fewer than two finite samples, or a mean or
     standard error that overflows the float range, raise ArithmeticError.

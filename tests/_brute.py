@@ -11,6 +11,8 @@ over integers and reduce to a Fraction once; the Fraction versions they
 replaced (Gaussian elimination, per-term Horner, the Fraction
 recombination and its weights) are kept here as their references, and so
 is the one-shot Hankel condensation that the resumable engine replaced.
+The Monte Carlo stream's reference is Vigna's splitmix64.c in Python ints,
+stepped one word at a time where the package mixes a counter per word.
 Two appendix identities that no computed value depends on close the
 file; the coefficient tests check them.
 """
@@ -359,6 +361,26 @@ def decimal_15g(q: Fraction, over_pi: bool = False) -> str:
         return f"{sign}0.{'0' * (-e - 1)}{digits}"
     whole, frac = digits[: e + 1].ljust(e + 1, "0"), digits[e + 1:]
     return f"{sign}{whole}{'.' if frac else ''}{frac}"
+
+
+class SplitMix64:
+    """Vigna's splitmix64.c: the state advances by gamma, and next() returns its mix."""
+
+    def __init__(self, state: int) -> None:
+        self.x = state
+
+    def next(self) -> int:
+        self.x = (self.x + 0x9E3779B97F4A7C15) % 2 ** 64
+        z = self.x
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2 ** 64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2 ** 64
+        return z ^ (z >> 31)
+
+
+def splitmix64_words(seed: int, count: int) -> list[int]:
+    """Words 0, ..., count - 1 of the Monte Carlo stream of seed: splitmix64.c started from its first output."""
+    stream = SplitMix64(SplitMix64(seed).next())
+    return [stream.next() for _ in range(count)]
 
 
 def alternating_binomial_sum(p: int, n: int) -> int:

@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import cue_moments
 from cue_moments import moments, oracles
 from cue_moments.cli import _decimal, build_parser, format_exact, main
 from cue_moments.moments import ExactScalar, MomentOrder, exact_moment, keating_snaith
@@ -248,6 +252,20 @@ class TestMCCommand:
         assert code == 1
         assert out == ""
         assert err == "error: exact moment 4.33224890205212e+1235 is beyond the float range: mc cannot estimate it\n"
+
+    def test_sampling_does_not_import_numpy_random(self):
+        # Importing numpy.random (every bit generator, and hashlib through
+        # secrets) once cost the first mc request of a process about 15 ms;
+        # the stream needs nothing beyond numpy's core.  A fresh interpreter,
+        # since this one may have imported it for other tests.
+        program = ("import sys; from cue_moments.cli import main; "
+                   "code = main(['mc', '--n', '3', '--two-h', '2', '--k', '1', '--trials', '2000']); "
+                   "print('exit', code, 'numpy.random' in sys.modules)")
+        src = str(pathlib.Path(cue_moments.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-c", program], env=env, capture_output=True, text=True,
+                              timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == "exit 0 False"
 
     def test_negative_seed_is_an_error(self, capsys):
         code, out, err = run_cli(

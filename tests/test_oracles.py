@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _brute import SplitMix64, splitmix64_words
 from _haar import haar_v_values
 from cue_moments import oracles
 from cue_moments.coefficients import coeff_vector
@@ -167,6 +168,28 @@ KS_CRITICAL = math.sqrt(-math.log(1e-4 / 2) / 2) * math.sqrt(2 / KS_DRAWS)
 KS_CRITICAL_ONE_SAMPLE = math.sqrt(-math.log(1e-4 / 2) / 2) / math.sqrt(KS_DRAWS)
 
 
+class TestStream:
+    def test_reference_is_splitmix64_c(self):
+        # The first outputs of splitmix64.c from state 0.
+        stream = SplitMix64(0)
+        assert [stream.next() for _ in range(3)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+    def test_words_match_the_reference(self, seed):
+        chunk = oracles._STREAM_CHUNK
+        want = np.array([float(word >> 11) for word in splitmix64_words(seed, chunk + 50)])
+        stream = oracles._SplitMix64(seed, chunk)
+        # One chunk from word 0, then two chunks from word 0 and from word 37.
+        for start, size in ((0, 100), (0, chunk + 50), (37, chunk + 13)):
+            out = np.full(size, np.nan)
+            stream.fill(start, out)
+            assert np.array_equal(out, want[start : start + size]), (start, size)
+        # A stream sized for five words mixes five at a time.
+        out = np.full(12, np.nan)
+        oracles._SplitMix64(seed, 5).fill(3, out)
+        assert np.array_equal(out, want[3:15])
+
+
 class TestDistribution:
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_matches_qr_haar_reference(self, n):
@@ -238,12 +261,19 @@ class TestMCMoment:
         with pytest.raises(ArithmeticError):
             mc_moment(1, 1, 1, 10, 0)
 
-    def test_overflowing_samples_raise(self):
-        # |V|^58 |V'|^2 at n = 300 overflows in the sum of squares: the stderr is inf.
+    def test_overflowing_samples_raise(self, monkeypatch):
+        # Trial t has the one eigenvalue -e^(i t/4): |V|^600 = (2 cos(t/8))^600
+        # is finite, from 4.1e180 at t = 0 down to 5.4e64 at t = 7, and the
+        # mean is too, but the squares in the variance overflow.
+        def batches(n, seed, trials, batch):
+            for start in range(0, trials, batch):
+                t = np.arange(start, min(start + batch, trials))
+                yield -np.exp(-1j * t / 4)[:, None]
+        monkeypatch.setattr(oracles, "_verblunsky_batches", batches)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ArithmeticError, match="overflows the float range"):
-                mc_moment(300, 2, 30, 2000, 0)
+                mc_moment(1, 0, 300, 8, 0)
 
     def test_batch_memory_is_capped_at_large_n(self, monkeypatch):
         # Each trial draws a window of 2n - 1 doubles: at n = 1000 a batch holds
@@ -274,24 +304,28 @@ class TestMCMoment:
         assert est.trials == 2500
         assert peak <= 3 * 8 * oracles._MC_BATCH_DOUBLES
 
-    def test_trial_windows_are_independent_of_the_batch(self):
+    def test_trial_windows_are_independent_of_the_batch(self, monkeypatch):
         # Batches of 3, 3, 3 and 1 overwrite one set of buffers in turn.
         whole = draw_verblunsky(4, 5, 10)
         parts = [alpha.copy() for alpha in _verblunsky_batches(4, 5, 10, 3)]
         assert [len(part) for part in parts] == [3, 3, 3, 1]
         assert np.array_equal(np.concatenate(parts), whole)
+        # Nor of the stream's chunk: 4 words at a time split trials' windows.
+        monkeypatch.setattr(oracles, "_STREAM_CHUNK", 4)
+        assert np.array_equal(draw_verblunsky(4, 5, 10), whole)
+        assert np.array_equal(np.concatenate([alpha.copy() for alpha in _verblunsky_batches(4, 5, 10, 3)]), whole)
 
     def test_multi_batch_estimates_are_pinned(self):
-        # Recorded before the batch buffers were reused: a stale buffer in a
-        # short last batch (403 trials at n = 1000, one at n = 8), at n = 1 or
-        # at trials = 2 moves the bits.
+        # Recorded from the SplitMix64 stream.  A stale buffer in a short last
+        # batch (403 trials at n = 1000, one at n = 8), a wrong word window,
+        # n = 1 or trials = 2 moves the bits.
         expected = {
-            (1, 0, 1, 4097): ("2.00117943316343", "0.021944286679538655", 0),
-            (3, 1, 1, 4097): ("2.9593284753864237", "0.04798085757057146", 0),
-            (8, 2, 2, 8197): ("1250.4616611765841", "136.42879180062366", 0),
-            (8, 3, 2, 2): ("101.67544192929938", "97.85464953932778", 0),
-            (5, 4, 2, 12289): ("712.8221335754338", "16.068843984390625", 0),
-            (1000, 2, 1, 2500): ("57339784.635327615", "13417324.210906588", 0),
+            (1, 0, 1, 4097): ("2.0405635450700546", "0.022103907154667084", 0),
+            (3, 1, 1, 4097): ("2.9841844880282804", "0.047562374920634726", 0),
+            (8, 2, 2, 8197): ("1160.0253986743562", "75.53518873299763", 0),
+            (8, 3, 2, 2): ("54.68863093597145", "49.4990564407564", 0),
+            (5, 4, 2, 12289): ("751.4014924036536", "16.62654930728853", 0),
+            (1000, 2, 1, 2500): ("119378687.59496748", "64500116.4408346", 0),
         }
         for (n, two_h, k, trials), pinned in expected.items():
             est = mc_moment(n, two_h, k, trials, 7)
