@@ -19,11 +19,14 @@ c_p = h_p / (p! h_0); they are what every moment in
 :mod:`cue_moments.moments` recombines.  The condensation is resumable:
 one state per (k, n), and one per k for the limit, keeps u_0..u_k and
 extends each level only as far as a caller asks, so a longer prefix
-costs only its new terms.  The limit's f has rational coefficients,
-made integers by a factorial scale; when f grows, level j is rescaled by
-the j-th power of the scale's growth, since u_j has degree j in f, and
-nothing stored is recomputed.  :func:`coeff_vector` forms the Fractions
-c_p on each call.
+costs only its new terms.  Row j of Pascal's triangle and the weights
+that entry j of every level uses depend on j alone; rows below a fixed
+bound are formed once and shared by every level of every state, and
+above it each level steps its own row.  The limit's f has rational
+coefficients, made integers by the odd part of a factorial; when f
+grows, level j is rescaled by the j-th power of the scale's growth, since
+u_j has degree j in f, and nothing stored is recomputed.
+:func:`coeff_vector` forms the Fractions c_p on each call.
 
 ``series_coeff(p, k, n)`` and ``series_coeff_limit(p, k)`` are the same
 coefficients as sums over partitions of p into at most k parts.  They stay
@@ -42,6 +45,30 @@ from typing import Sequence
 from .partitions import hook_product, partitions_of, pochhammer
 
 
+# Pascal rows J < _PASCAL_ROWS with their weights, formed once and in order, and
+# shared by every level of every state; 128 rows hold about 0.6 MB.
+_PASCAL_ROWS = 128
+_PASCAL: list[tuple[list[int], list[int]]] = []
+
+
+def _pascal(j: int, below: list[int]) -> tuple[list[int], list[int]]:
+    """Row j of Pascal's triangle, one Pascal step from row j - 1 (``below``), and its weights.
+
+    The weights are w_x = C(j, x) - 2 C(j, x - 1) + C(j, x - 2) for
+    x <= (j + 3) // 2, the second difference of the row padded with zeros.
+    A row below ``_PASCAL_ROWS`` is formed once and kept in ``_PASCAL``;
+    above it, each caller steps its own row.
+    """
+    if j < len(_PASCAL):
+        return _PASCAL[j]
+    row = [1, *map(add, below, below[1:]), 1] if j else [1]
+    pad = [0, 0, *row, 0, 0]
+    entry = row, [pad[x + 2] - 2 * pad[x + 1] + pad[x] for x in range((j + 3) // 2 + 1)]
+    if j == len(_PASCAL) < _PASCAL_ROWS:
+        _PASCAL.append(entry)
+    return entry
+
+
 def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) -> None:
     """Extend ``quo`` = (cur'^2 - cur cur'') / prev in place to ``size`` coefficients.
 
@@ -50,18 +77,21 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) ->
     convolution (a b)_j = sum_i C(j, i) a_i b_{j-i}, and the integer series
     form a ring.  The quotient is known to lie in it, so entry j follows
     from quo[:j], cur[:j + 3] and prev[:j + 1] by one integer division by
-    prev[0], which must leave no remainder.
+    prev[0], which must leave no remainder.  Row j of Pascal's triangle and
+    its weights depend on j alone: :func:`_pascal` reads them from the
+    shared table, or steps them past its bound.
     """
     j = len(quo)
     if j >= size:
         return
-    row = [comb(j, i) for i in range(j + 1)]
+    while len(_PASCAL) < min(j, _PASCAL_ROWS):
+        _pascal(len(_PASCAL), _PASCAL[-1][0] if _PASCAL else [])
+    row = _PASCAL[j - 1][0] if 0 < j <= _PASCAL_ROWS else [comb(j - 1, i) for i in range(j)]
     while True:
+        row, w = _pascal(j, row)
         # cur_x cur_y over x + y = j + 2, each unordered pair {x, y} once; its
-        # weight in cur cur'' - cur'^2 is the second difference of row j
+        # weight in cur cur'' - cur'^2 is w_x
         s, h = j + 2, (j + 3) // 2
-        pad = [0, 0, *row, 0, 0]
-        w = [pad[x + 2] - 2 * pad[x + 1] + pad[x] for x in range(h + 1)]
         num = sum(map(mul, cur[:h], map(mul, w, cur[s : s - h : -1])))
         if s % 2 == 0:
             num += w[h] // 2 * cur[h] ** 2
@@ -73,7 +103,6 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) ->
         j += 1
         if j == size:
             return
-        row = [1, *map(add, row, row[1:]), 1]
 
 
 class _Condensation:
@@ -88,10 +117,13 @@ class _Condensation:
 
     f is L^(1)_{n+k-1}(-2 zeta), with the integer Hurwitz coefficients
     C(n+k, j+1) 2^j, or, for n None, G_1(2 zeta), whose coefficients
-    2^j / (j + 1)! are scaled to integers by (s + 1)!, s being the last
-    one held.  Growing f to hold up to s' > s multiplies it by
-    r = (s' + 1)! / (s + 1)!; u_j is homogeneous of degree j in f, so each
-    stored level j is multiplied by r^j and no entry is recomputed.
+    2^j / (j + 1)! are scaled to integers by the odd part of (s + 1)!, s
+    being the last one held: entry j is (s + 1)! 2^j / (j + 1)! shifted
+    right by v2((s + 1)!), the power of 2 in (s + 1)!, an integer since
+    v2((j + 1)!) <= j.  Growing f to hold up to s' > s multiplies it by
+    the ratio r of the two odd parts, (s' + 1)! / (s + 1)! shifted right by
+    v2((s' + 1)!) - v2((s + 1)!); u_j is homogeneous of degree j in f, so
+    each stored level j is multiplied by r^j and no entry is recomputed.
     """
 
     def __init__(self, k: int, n: int | None) -> None:
@@ -107,7 +139,7 @@ class _Condensation:
         return levels[k]
 
     def _grow_f(self, size: int) -> None:
-        """Extend f to ``size`` terms; for n None, rescale every level from scale start! to size!.
+        """Extend f to ``size`` terms; for n None, rescale every level from the odd part of start! to that of size!.
 
         The rescaled levels replace the old ones in one assignment, so an
         interrupted call leaves every level at one scale.
@@ -119,8 +151,10 @@ class _Condensation:
         if self.n is not None:
             f.extend(comb(self.n + self.k, j + 1) << j for j in range(start, size))
             return
-        r = perm(size, size - start)
-        grown = [[x * r for x in f] + [perm(size, size - 1 - i) << i for i in range(start, size)]]
+        # v2(m!) = m - popcount(m), and v2((i + 1)!) <= i keeps every entry an integer
+        v = size - size.bit_count()
+        r = perm(size, size - start) >> (v - start + start.bit_count())
+        grown = [[x * r for x in f] + [perm(size, size - 1 - i) << i >> v for i in range(start, size)]]
         for j, level in enumerate(self.levels[2:], 2):
             rj = r ** j
             grown.append([x * rj for x in level])

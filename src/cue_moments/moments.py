@@ -12,10 +12,13 @@ engine vector: a prefactor depending on two_h times the zeroth moment
 times sum_p w_p c_p, where c_p are the coefficients of the reduced moment
 polynomial and the weight w_p depends only on the parity of two_h and on
 n.  The engine, :func:`~cue_moments.coefficients.coeff_numerators`, gives
-integers h_p with c_p = h_p / (p! h_0); the sum runs over integers above
-the one denominator P! n^max(P - two_h, 0) h_0, and the moment becomes a
-Fraction once.  The limit is the same sum at n = 1 over the engine's
-limit numerators (n None), times :func:`limit_moment_zero`.
+integers h_p with c_p = h_p / (p! h_0).  The sum runs over integers above
+one denominator: h_0 for even two_h, P! n^max(P - two_h, 0) h_0 for odd
+two_h, where it is one Horner pass: past p = two_h each integer weight
+follows from the last by a small product, with no factorial, power or
+division per term.  The moment becomes a Fraction once.  The limit is the same sum
+at n = 1 over the engine's limit numerators (n None), times
+:func:`limit_moment_zero`.
 
 :func:`exact_moment` is the one entry for every exact value: n None asks
 for the limit, as it does of the engine.  For odd two_h the limit is a
@@ -126,38 +129,37 @@ def _prefactor(two_h: int, zeroth: Fraction) -> Fraction:
     return Fraction((1 + two_h % 2) * (-1) ** ((two_h + 1) // 2), 2 ** two_h) * zeroth
 
 
-def _scale(two_h: int, n: int, P: int) -> int:
-    """P! n^max(P - two_h, 0): times h_0, the one denominator of a recombination over h_0..h_P."""
-    return factorial(P) * n ** max(P - two_h, 0)
-
-
-def _weight(p: int, two_h: int, n: int, P: int) -> int:
-    """Integer weight of h_p in the moment of order two_h at size n (n = 1: the limit), over h_0..h_P.
-
-    It is w_p / p! times ``_scale(two_h, n, P)``, with w_p the weight of
-    c_p = h_p / (p! h_0).  w_p / p! is C(two_h, p) (-n)^(two_h - p) for even
-    two_h.  For odd two_h it is 0 at p = 0; (-n)^(two_h - p) sum_{l=1..p}
-    C(two_h, p - l) (-1)^l / l up to p = two_h; two_h! (p - two_h - 1)! /
-    (p! n^(p - two_h)) beyond.  P >= p makes each product an integer.
-    """
-    scale = _scale(two_h, n, P)
-    if two_h % 2 == 0:
-        return comb(two_h, p) * (-n) ** (two_h - p) * scale
-    if p > two_h:
-        return factorial(two_h) * factorial(p - two_h - 1) * scale // (factorial(p) * n ** (p - two_h))
-    return (-n) ** (two_h - p) * sum((-1) ** l * comb(two_h, p - l) * scale // l for l in range(1, p + 1))
-
-
 def _recombine(two_h: int, n: int, zeroth: Fraction, h: tuple[int, ...]) -> Fraction:
     """Prefactor times sum_p w_p c_p over the numerators h_0..h_P (times 1/pi for odd two_h).
 
-    The sum runs over integers above the one denominator ``_scale`` times
-    h_0 and becomes a Fraction once; two_h = 0 gives ``zeroth``.
+    c_p = h_p / (p! h_0).  For even two_h, w_p c_p is C(two_h, p)
+    (-n)^(two_h - p) h_p / h_0, zero past p = two_h, so the sum is one
+    integer over h_0.  For odd two_h the sum runs over integers above the
+    one denominator S h_0, S = P! n^max(P - two_h, 0), and is one Horner
+    pass, acc = acc p n + a_p h_p: S w_p / p! = a_p (P! / p!) n^(P - p) when
+    P >= two_h, with the integers a_0 = 0,
+    a_p = (-1)^(two_h - p) sum_{l=1..p} (-1)^l C(two_h, p - l) p! / l up to
+    p = two_h, and a_p = two_h! (p - two_h - 1)! beyond, each of these from
+    the last by one small product.  When kn = P < two_h, S = P! and acc
+    gains the missing n^(two_h - P).  The sum becomes a Fraction once;
+    two_h = 0 gives ``zeroth``.
     """
-    P = len(h) - 1
-    total = sum(_weight(p, two_h, n, P) * x for p, x in enumerate(h))
     prefactor = _prefactor(two_h, zeroth)
-    return Fraction(prefactor.numerator * total, prefactor.denominator * _scale(two_h, n, P) * h[0])
+    if two_h % 2 == 0:
+        total = sum(comb(two_h, p) * (-n) ** (two_h - p) * x for p, x in enumerate(h[: two_h + 1]))
+        return Fraction(prefactor.numerator * total, prefactor.denominator * h[0])
+    P = len(h) - 1
+    acc, tail = 0, factorial(two_h)
+    for p, x in enumerate(h):
+        if p <= two_h:
+            fp = factorial(p)
+            a = (-1) ** (two_h - p) * sum((-1) ** l * comb(two_h, p - l) * (fp // l) for l in range(1, p + 1))
+        else:
+            a, tail = tail, tail * (p - two_h)
+        acc = acc * (p * n) + a * x
+    acc *= n ** max(two_h - P, 0)
+    scale = factorial(P) * n ** max(P - two_h, 0)
+    return Fraction(prefactor.numerator * acc, prefactor.denominator * scale * h[0])
 
 
 def exact_moment(n: int | None, two_h: int, k: int) -> Fraction | ExactScalar:
@@ -242,14 +244,14 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
 
-    # t_q = w_q c_q is T_q / (q! h_0) with the integer T_q = _weight(q, two_h, 1, q) h_q, so
+    # t_q = w_q c_q is T_q / (q! h_0) with the integer T_q = two_h! (q - two_h - 1)! h_q, so
     # t_p < tol/2 and 2 t_p < t_(p-1) compare integers of one vector h, at one scale.
     tol_num, tol_den = Fraction(tol).as_integer_ratio()
     p = two_h + 2 * k + 4
     cap = 2 * max(p, _majorant_terms(two_h, k, tol))
     while True:
         h = coeff_numerators(k, None, p)
-        term, previous = (_weight(q, two_h, 1, q) * h[q] for q in (p, p - 1))
+        term, previous = (factorial(two_h) * factorial(q - two_h - 1) * h[q] for q in (p, p - 1))
         if min(term, previous) < 0:  # h_0 > 0, so t_p and T_p share a sign
             raise ArithmeticError(f"limit term t_{p - 1} or t_{p}, past two_h, is negative: wrong engine")
         if 2 * tol_den * term < tol_num * factorial(p) * h[0] and 2 * term < p * previous:

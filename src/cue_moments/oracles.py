@@ -218,14 +218,16 @@ def _szego_at_one(alpha: np.ndarray, work: np.ndarray | None = None) -> tuple[np
 
 def _fold(stats: tuple[int, float, float], block: np.ndarray) -> tuple[int, float, float]:
     # Merge a block into (count, mean, centred sum of squares); Chan, Golub
-    # and LeVeque's pairwise update.
+    # and LeVeque's pairwise update.  The first block has no cross term: with
+    # count 0 it would be inf * 0 = nan once delta * delta overflows.
     count, mean, m2 = stats
     size = block.size
     block_mean = float(block.mean())
     total = count + size
     delta = block_mean - mean
     block_m2 = float(np.square(block - block_mean).sum())
-    return total, mean + delta * size / total, m2 + block_m2 + delta * delta * count * size / total
+    cross = delta * delta * count * size / total if count else 0.0
+    return total, mean + delta * size / total, m2 + block_m2 + cross
 
 
 def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:

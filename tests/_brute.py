@@ -280,9 +280,19 @@ def one_shot_coeff_numerators(k: int, n: int, P: int) -> tuple[int, ...]:
 
 
 def one_shot_limit_numerators(k: int, P: int) -> tuple[int, ...]:
-    """h_0..h_P of the limit from f = G_1(2 zeta), Hurwitz coefficients 2^j / (j+1)! times (s+1)!, s = P + 2(k-1)."""
+    """h_0..h_P of the limit from f = G_1(2 zeta), s = P + 2(k-1).
+
+    The Hurwitz coefficients 2^j / (j+1)! are scaled by the odd part of
+    (s+1)!, found by halving it while it is even; each product must be an
+    integer.
+    """
     s = P + 2 * (k - 1)
-    return one_shot_numerators([factorial(s + 1) // factorial(j + 1) << j for j in range(s + 1)], k, P + 1)
+    odd = factorial(s + 1)
+    while odd % 2 == 0:
+        odd //= 2
+    f = [Fraction(odd * 2 ** j, factorial(j + 1)) for j in range(s + 1)]
+    assert all(x.denominator == 1 for x in f)
+    return one_shot_numerators([int(x) for x in f], k, P + 1)
 
 
 def lagrange_interpolate(points: list[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:

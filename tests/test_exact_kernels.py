@@ -6,7 +6,9 @@ from math import comb, factorial
 
 import pytest
 
+from cue_moments import coefficients
 from cue_moments.coefficients import (
+    _PASCAL_ROWS,
     _Condensation,
     _condensation,
     _ratios,
@@ -161,6 +163,37 @@ class TestResumableCondensation:
                     # Rescaled by degree, the state holds the one-shot integers at its own scale.
                     assert h == expected[reached][: P + 1], (k, P)
 
+    def test_states_past_the_pascal_table_equal_the_one_shot_condensation(self):
+        # f passes the table's bound of rows: past it, each level steps its own row.
+        expected = [one_shot_coeff_numerators(2, 80, P) for P in range(161)]
+        for order in extension_orders(160, seed=80):
+            state = _Condensation(2, 80)
+            for P in order:
+                assert tuple(state.numerators(P)[: P + 1]) == expected[P], P
+        # Level 3 of the limit at k = 3 reaches entry P, level 2 entry P + 2.
+        checked = (100, 125, 126, 127, 128, 129, 140)
+        limit = {P: one_shot_limit_numerators(3, P) for P in checked}
+        for order in extension_orders(140, seed=3):
+            state, reached = _Condensation(3, None), 0
+            for P in order:
+                reached = max(reached, P)
+                h = tuple(state.numerators(P)[: P + 1])
+                if P in checked:
+                    assert _ratios(h) == _ratios(limit[P]), P
+                if reached in checked:
+                    assert h == limit[reached][: P + 1], P
+        table = coefficients._PASCAL
+        assert len(table) == _PASCAL_ROWS
+        assert all(row == [comb(J, i) for i in range(J + 1)] for J, (row, _) in enumerate(table))
+
+    def test_a_level_resumed_past_an_empty_table_fills_it_in_order(self, monkeypatch):
+        expected = one_shot_coeff_numerators(3, 30, 90)
+        state = _Condensation(3, 30)
+        state.numerators(40)
+        monkeypatch.setattr(coefficients, "_PASCAL", [])
+        assert tuple(state.numerators(90)) == expected
+        assert [row for row, _ in coefficients._PASCAL] == [[comb(J, i) for i in range(J + 1)] for J in range(93)]
+
     def test_every_level_leads_with_a_positive_value(self):
         for k in range(1, 17):
             for n in (None, 1, 2, 3, 7, 20):
@@ -195,6 +228,11 @@ class TestRecombination:
                     else:
                         assert moment_half_h(n, two_h, k) == ExactScalar(expected)
         assert short == 9  # n = 1 and odd two_h in (k, 2k]: none at k = 1, then 1, 1, 2, 2, 3
+        # The moment cells of the exact_large benchmark: the Horner tail runs to P = kn >= 30.
+        for n, two_h, k in ((30, 3, 3), (12, 7, 4), (6, 9, 5)):
+            zeroth = keating_snaith(n, k)
+            expected = fraction_recombine(two_h, n, zeroth, coeff_vector(k, n, k * n))
+            assert _recombine(two_h, n, zeroth, coeff_numerators(k, n, k * n)) == expected, (n, two_h, k)
 
     def test_closed_half_moment_equals_its_fraction_sum(self):
         for n in range(1, 51):

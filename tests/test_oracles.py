@@ -272,7 +272,7 @@ class TestMCMoment:
         monkeypatch.setattr(oracles, "_verblunsky_batches", batches)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError, match="overflows the float range"):
+            with pytest.raises(ArithmeticError, match="stderr inf overflows the float range"):
                 mc_moment(1, 0, 300, 8, 0)
 
     def test_batch_memory_is_capped_at_large_n(self, monkeypatch):
