@@ -32,6 +32,9 @@ u_j has degree j in f, and nothing stored is recomputed.
 coefficients as sums over partitions of p into at most k parts.  They stay
 as an independent oracle: the verification suites and the tests compare
 the engine against them, and the identities in this module check them.
+n enters a term only through [-n]; the rest of it, the weight w(lam, k),
+is formed once per (lam, k) and shared by every n and the limit.  No
+cache here holds a value derived from the engine.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from math import comb, factorial, perm, prod
 from operator import add, mul
 from typing import Sequence
 
-from .partitions import hook_product, partitions_of, pochhammer
+from .partitions import Partition, hook_product, partitions_of, pochhammer
 
 
 # Pascal rows J < _PASCAL_ROWS with their weights, formed once and in order, and
@@ -196,6 +199,20 @@ def coeff_vector(k: int, n: int | None, P: int) -> tuple[Fraction, ...]:
     return _ratios(coeff_numerators(k, n, P))
 
 
+@lru_cache(maxsize=None)
+def _common(p: int, k: int) -> int:
+    """C_{p,k} = prod_{i<=k} perm(2k - i + p, p), a common multiple of [2k]_lam over the partitions lam of p."""
+    return prod(perm(2 * k - i + p, p) for i in range(1, k + 1))
+
+
+@lru_cache(maxsize=None)
+def _weight(lam: Partition, k: int) -> int:
+    """The part of a term that n never enters: w(lam, k) = [k]_lam (p!/h_lam)^2 (C_{p,k} / [2k]_lam), p = |lam|."""
+    p = sum(lam)
+    f = factorial(p) // hook_product(lam)
+    return pochhammer(k, lam) * f * f * (_common(p, k) // pochhammer(2 * k, lam))
+
+
 def _partition_sum(p: int, k: int, n: int | None) -> Fraction:
     """Sum of [k] [-n] / ([2k] h^2) over partitions of p into at most k parts ([-n] left out if n is None).
 
@@ -204,17 +221,19 @@ def _partition_sum(p: int, k: int, n: int | None) -> Fraction:
 
     One Fraction for the whole sum: each term is scaled by (p!)^2, so 1/h^2
     becomes the integer f^2 = (p!/h)^2, and brought over the common multiple
-    prod_{i<=k} perm(2k - i + p, p) of the [2k] symbols (row i of [2k],
-    (2k - i + 1) ... (2k - i + lam_i), divides factor i).
+    C_{p,k} = prod_{i<=k} perm(2k - i + p, p) of the [2k] symbols (row i of
+    [2k], (2k - i + 1) ... (2k - i + lam_i), divides factor i).  The term
+    is then the integer weight w(lam, k) = [k] f^2 (C_{p,k} / [2k]), times
+    [-n] for finite n; :func:`_weight` keeps one per (lam, k) and
+    :func:`_common` one C_{p,k} per (p, k), so every n and the limit share
+    them, and a finite n multiplies in only its [-n].
     """
     fp = factorial(p)
-    common = prod(perm(2 * k - i + p, p) for i in range(1, k + 1))
-    total = 0
-    for lam in partitions_of(p, k, n):
-        numer = pochhammer(k, lam) if n is None else pochhammer(k, lam) * pochhammer(-n, lam)
-        f = fp // hook_product(lam)
-        total += numer * f * f * (common // pochhammer(2 * k, lam))
-    return Fraction(total, fp * fp * common)
+    if n is None:
+        total = sum(_weight(lam, k) for lam in partitions_of(p, k))
+    else:
+        total = sum(_weight(lam, k) * pochhammer(-n, lam) for lam in partitions_of(p, k, n))
+    return Fraction(total, fp * fp * _common(p, k))
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, perm
 
 from .coefficients import coeff_numerators
@@ -113,11 +114,15 @@ def limit_moment_zero(k: int) -> Fraction:
     return Fraction(math.prod(map(factorial, range(k))), math.prod(map(factorial, range(k, 2 * k))))
 
 
+@lru_cache(maxsize=None, typed=True)
 def keating_snaith(n: int, k: int) -> Fraction:
     """Zeroth moment at size n: limit_moment_zero(k) times the product over j < k of (j+n+k)!/(j+n)!.
 
     Equal to the product over j = 1..n of (j-1)! (j+2k-1)! / ((j+k-1)!)^2,
-    with k factors in place of n, each a product of k integers.
+    with k factors in place of n, each a product of k integers.  Formed
+    once per (n, k) and kept; the key is typed, so a float n is not taken
+    for an int, and a raise is never cached, so bad arguments raise on
+    every call.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got {(n, k)}")

@@ -88,6 +88,9 @@ def pochhammer(b: int | Fraction, lam: Partition) -> int | Fraction:
     otherwise.
     """
     if isinstance(b, int):
+        if 0 <= b < len(lam):
+            # row b + 1 opens with the factor b - (b + 1) + 1 = 0
+            return 0
         result = 1
         for i, row in enumerate(lam, start=1):
             if b >= i:

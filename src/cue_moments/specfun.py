@@ -18,11 +18,18 @@ valued at t = p/q by homogeneous Horner (q^m times the value), and take
 their determinants by fraction-free Bareiss elimination; the Wronskian
 still differentiates the coefficient sequences symbolically.  The series
 routes sum integer coefficients over one common denominator.
+
+What does not depend on zeta is formed once and kept: each Laguerre
+polynomial m! L_m^(alpha), per (m, alpha), and the Wronskian's rows of
+symbolic derivatives, per polynomial set, so a call only evaluates them
+at t.  The engine route keeps nothing, by design: it reads the engine on
+every call, so the three-route identity checks the engine that runs now.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm, perm, prod
 from typing import Sequence
 
@@ -32,6 +39,7 @@ from .moments import keating_snaith
 Rational = int | Fraction
 
 
+@lru_cache(maxsize=None)
 def _scaled_laguerre(n: int, alpha: int) -> tuple[int, ...]:
     """Integer coefficients of n! times the Laguerre polynomial: entry j is (-1)^j C(n + alpha, n - j) n!/j!."""
     if n < 0:
@@ -91,22 +99,30 @@ def _bareiss(matrix: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
+@lru_cache(maxsize=None)
+def _derivative_rows(polys: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rows 0..len(polys) - 1 of a Wronskian: row j holds the j-th derivatives, taken symbolically."""
+    rows, table = polys, []
+    for _ in range(len(polys)):
+        table.append(rows)
+        rows = tuple(derivative_coeffs(c) for c in rows)
+    return tuple(table)
+
+
 def _wronskian(polys: Sequence[Sequence[int]], t: Fraction) -> tuple[int, int]:
     """(numerator, denominator) of the Wronskian of integer polynomials at t = p/q.
 
-    Row j holds the j-th derivatives, taken symbolically on the coefficient
-    sequences, and is scaled by q^(its top degree), so the matrix is an
-    integer one.
+    Row j holds the j-th derivatives, read from :func:`_derivative_rows`,
+    and is scaled by q^(its top degree), so the matrix is an integer one.
     """
     if not polys:
         raise ValueError("need at least one polynomial")
     p, q = t.numerator, t.denominator
-    rows, scale, matrix = polys, 1, []
-    for _ in range(len(polys)):
+    scale, matrix = 1, []
+    for rows in _derivative_rows(tuple(map(tuple, polys))):
         top = max(map(len, rows))
         matrix.append([_horner(c, p, q) * q ** (top - len(c)) for c in rows])
         scale *= q ** (top - 1)
-        rows = [derivative_coeffs(c) for c in rows]
     return _bareiss(matrix), scale
 
 

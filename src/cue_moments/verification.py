@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import Callable, Iterable
 
 from .coefficients import (
@@ -32,7 +32,7 @@ from .coefficients import (
 )
 from .moments import ExactScalar, _recombine, half_moment_k1_closed, limit_moment_half_h, limit_moment_zero, moment_half_h
 from .partitions import hook_product, partitions_of, pochhammer, transpose
-from .specfun import moment_gen_engine, moment_gen_hankel, moment_gen_series, moment_gen_wronskian
+from .specfun import _cleared, moment_gen_engine, moment_gen_hankel, moment_gen_series, moment_gen_wronskian
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,7 @@ def check_half_limit_tail_bound() -> CheckResult:
     """
     def cases():
         for two_h, k in ((1, 1), (1, 2), (3, 2)):
-            hurwitz = [series_coeff_closed(p, k) * factorial(p) for p in range(46)]
-            scale = lcm(*(c.denominator for c in hurwitz))
-            h = [c.numerator * (scale // c.denominator) for c in hurwitz]
+            h, _ = _cleared([series_coeff_closed(p, k) * factorial(p) for p in range(46)])
             reference = float(ExactScalar(_recombine(two_h, 1, limit_moment_zero(k), h)))
             for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
                 result = limit_moment_half_h(two_h, k, tol)

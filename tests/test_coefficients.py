@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from cue_moments import coefficients
 from cue_moments.coefficients import (
     binomial_residual,
     coeff_numerators,
@@ -43,12 +44,19 @@ class TestSeriesCoeff:
             series_coeff(0, 1, 0)
 
     def test_matches_one_fraction_per_term_sums(self):
-        for p in range(13):
-            for k in range(1, 5):
+        # From cold caches, the limit comes first on every other (p, k) and a
+        # finite n first on the rest, so each order reads weights the other formed.
+        for cached in (series_coeff, series_coeff_limit, coefficients._weight, coefficients._common):
+            cached.cache_clear()
+        grid = [(p, k) for p in range(13) for k in range(1, 5)] + [(p, k) for p in range(13, 17) for k in range(1, 4)]
+        for i, (p, k) in enumerate(grid):
+            if i % 2 == 0:
                 assert series_coeff_limit(p, k) == series_coeff_terms(p, k, None)
-                assert hook_content_sum(p, k) == hook_content_terms(p, k)
-                for n in (1, 2, 3, 7):
-                    assert series_coeff(p, k, n) == series_coeff_terms(p, k, n)
+            for n in (1, 2, 3, 7, 25):
+                assert series_coeff(p, k, n) == series_coeff_terms(p, k, n)
+            if i % 2 == 1:
+                assert series_coeff_limit(p, k) == series_coeff_terms(p, k, None)
+            assert hook_content_sum(p, k) == hook_content_terms(p, k)
 
     def test_transpose_route_equivalence(self):
         # summing over transposed shapes with negated arguments gives the

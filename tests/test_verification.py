@@ -23,9 +23,13 @@ SUITES = {
 
 
 def test_suites_and_check_counts():
+    for cached in (coefficients.series_coeff, coefficients.series_coeff_limit, coefficients._weight):
+        cached.cache_clear()
     results = run_all_checks()
     assert {r.name: r.checks for r in results} == SUITES
     assert all(r.passed for r in results)
+    # n never enters the key: every n and the limit share the weight of (lam, k)
+    assert coefficients._weight.cache_info().currsize == 1483
 
 
 def patch_engine(monkeypatch, wrong):
@@ -39,6 +43,8 @@ def patch_engine(monkeypatch, wrong):
 
 
 def test_an_engine_off_by_one_in_h1_fails_verify(monkeypatch, capsys):
+    # A clean pass first fills every cache, so none of them may hide the wrong engine.
+    assert all(r.passed for r in run_all_checks())
     engine = coefficients.coeff_numerators
 
     def wrong(k, n, P):
