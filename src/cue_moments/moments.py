@@ -242,6 +242,8 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     condenses only the terms it does not hold yet.  A negative t_p or
     t_(p-1), or a rule still unmet at twice the larger of that floor and the
     majorant's a priori P, means a wrong engine, and raises ArithmeticError.
+    So does a tail bound no smaller than |value|, compared exactly before
+    either is rounded: the truncated series then leaves the sign open.
     """
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
@@ -266,6 +268,10 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
             raise ArithmeticError(f"the half-integer limit did not settle by term {cap}")
 
     zeroth = limit_moment_zero(k)
-    value = ExactScalar(_recombine(two_h, 1, zeroth, h)).to_float()
-    tail_bound = ExactScalar(abs(_prefactor(two_h, zeroth)) * Fraction(2 * term, factorial(p) * h[0])).to_float()
-    return LimitResult(value=value, tail_bound=tail_bound, terms_used=p - two_h)
+    value = _recombine(two_h, 1, zeroth, h)
+    tail_bound = abs(_prefactor(two_h, zeroth)) * Fraction(2 * term, factorial(p) * h[0])
+    if tail_bound >= abs(value):
+        raise ArithmeticError(
+            f"the tail bound after {p - two_h} terms does not separate the limit from zero: its sign is uncertain")
+    return LimitResult(value=ExactScalar(value).to_float(), tail_bound=ExactScalar(tail_bound).to_float(),
+                       terms_used=p - two_h)

@@ -12,16 +12,19 @@ partition-sum coefficients (``series_coeff``).  The fourth route,
 printed moment and the quadrature's closed form use; the three-route
 identity holds it to the other three, none of which uses the engine.
 
-All four run over integers and reduce to a Fraction once, at the end.
-The Wronskian and Hankel routes use the integer polynomials m! L_m^(alpha),
-valued at t = p/q by homogeneous Horner (q^m times the value), and take
-their determinants by fraction-free Bareiss elimination; the Wronskian
-still differentiates the coefficient sequences symbolically.  The series
-routes sum integer coefficients over one common denominator.
+All four run over integers and reduce to a Fraction once, at the end,
+through two evaluators.  The Wronskian and Hankel routes are one Laguerre
+determinant, :func:`_laguerre_det`, of the integer polynomials
+m! L_m^(alpha) valued at t = p/q by homogeneous Horner (q^m times the
+value) and taken by fraction-free Bareiss elimination.  Since
+d/dt L_m^(alpha) = -L_(m-1)^(alpha+1), the Wronskian's row of j-th
+derivatives is (-1)^j L_(n+i-j)^(k+j), and the Hankel rows reversed are
+L_(n+i-j)^(2k-1); either way the row signs cancel the route's
+(-1)^(k(k-1)/2).  The series routes sum integer coefficients over one
+common denominator.
 
 What does not depend on zeta is formed once and kept: each Laguerre
-polynomial m! L_m^(alpha), per (m, alpha), and the Wronskian's rows of
-symbolic derivatives, per polynomial set, so a call only evaluates them
+polynomial m! L_m^(alpha), per (m, alpha), so a call only evaluates it
 at t.  The engine route keeps nothing, by design: it reads the engine on
 every call, so the three-route identity checks the engine that runs now.
 """
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, perm, prod
+from math import comb, factorial, lcm, perm
 from typing import Sequence
 
 from .coefficients import coeff_numerators, series_coeff
@@ -64,13 +67,6 @@ def _horner(coeffs: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def derivative_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Coefficient sequence of the derivative; the zero polynomial is (0,)."""
-    if len(coeffs) <= 1:
-        return (0,)
-    return tuple((j + 1) * c for j, c in enumerate(coeffs[1:]))
-
-
 def _bareiss(matrix: list[list[int]]) -> int:
     """Exact determinant of an integer matrix by fraction-free (Bareiss) elimination with row swaps.
 
@@ -99,31 +95,24 @@ def _bareiss(matrix: list[list[int]]) -> int:
     return sign * a[-1][-1]
 
 
-@lru_cache(maxsize=None)
-def _derivative_rows(polys: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Rows 0..len(polys) - 1 of a Wronskian: row j holds the j-th derivatives, taken symbolically."""
-    rows, table = polys, []
-    for _ in range(len(polys)):
-        table.append(rows)
-        rows = tuple(derivative_coeffs(c) for c in rows)
-    return tuple(table)
+def _laguerre_det(n: int, alphas: Sequence[int], t: Fraction) -> Fraction:
+    """det[L_(n+i-j)^(alphas[j])(t)] for i, j < k = len(alphas); a negative degree is the zero polynomial.
 
-
-def _wronskian(polys: Sequence[Sequence[int]], t: Fraction) -> tuple[int, int]:
-    """(numerator, denominator) of the Wronskian of integer polynomials at t = p/q.
-
-    Row j holds the j-th derivatives, read from :func:`_derivative_rows`,
-    and is scaled by q^(its top degree), so the matrix is an integer one.
+    At t = p/q the entry of degree m is the integer m! L_m value q^m L_m(t)
+    times D!/m! q^(D-m) over the common denominator D! q^D, D = n + k - 1;
+    the integer determinant is divided by that denominator's k-th power once.
     """
-    if not polys:
-        raise ValueError("need at least one polynomial")
     p, q = t.numerator, t.denominator
-    scale, matrix = 1, []
-    for rows in _derivative_rows(tuple(map(tuple, polys))):
-        top = max(map(len, rows))
-        matrix.append([_horner(c, p, q) * q ** (top - len(c)) for c in rows])
-        scale *= q ** (top - 1)
-    return _bareiss(matrix), scale
+    k = len(alphas)
+    top = n + k - 1
+
+    def entry(m: int, alpha: int) -> int:
+        if m < 0:
+            return 0
+        return _horner(_scaled_laguerre(m, alpha), p, q) * perm(top, top - m) * q ** (top - m)
+
+    matrix = [[entry(n + i - j, alpha) for j, alpha in enumerate(alphas)] for i in range(k)]
+    return Fraction(_bareiss(matrix), (factorial(top) * q ** top) ** k)
 
 
 def _check_args(k: int, n: int, zeta: Rational) -> Fraction:
@@ -140,36 +129,22 @@ def moment_gen_wronskian(k: int, n: int, zeta: Rational) -> Fraction:
 
     Evaluates (-1)^(k(k-1)/2) W(L_n, ..., L_{n+k-1})(-2 zeta), all with
     parameter k.  For k = 1 this is the single polynomial L_n^(1)(-2 zeta).
-    The Wronskian is taken of the integer polynomials m! L_m and divided by
-    the product of the m! in the one final Fraction.
+    It is the Laguerre determinant with column parameters k, ..., 2k - 1.
     """
     zeta = _check_args(k, n, zeta)
-    sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    det, scale = _wronskian([_scaled_laguerre(n + i, k) for i in range(k)], -2 * zeta)
-    return Fraction(sign * det, scale * prod(factorial(n + i) for i in range(k)))
+    return _laguerre_det(n, range(k, 2 * k), -2 * zeta)
 
 
 def moment_gen_hankel(k: int, n: int, zeta: Rational) -> Fraction:
     """Reduced moment polynomial via a Hankel determinant without derivatives.
 
-    Entry (i, j) is L_{n+k-1-(i+j)} with parameter 2k - 1, evaluated at
-    -2 zeta; a negative degree index means the zero polynomial, the empty
-    sum of the defining formula.  At t = -2 zeta = p/q the entry of degree
-    m is the integer m! L_m value q^m L_m(t) times D!/m! q^(D-m) over the
-    common denominator D! q^D, D = n + k - 1; the integer determinant is
-    divided by that denominator's k-th power once.
+    Evaluates (-1)^(k(k-1)/2) det[L_{n+k-1-(i+j)}(-2 zeta)], all with
+    parameter 2k - 1; a negative degree index means the zero polynomial,
+    the empty sum of the defining formula.  It is the Laguerre determinant
+    with every column parameter 2k - 1.
     """
     zeta = _check_args(k, n, zeta)
-    t = -2 * zeta
-    p, q = t.numerator, t.denominator
-    top = n + k - 1
-    values = {
-        m: _horner(_scaled_laguerre(m, 2 * k - 1), p, q) * perm(top, top - m) * q ** (top - m) if m >= 0 else 0
-        for m in range(n - k + 1, n + k)
-    }
-    matrix = [[values[top - (i + j)] for j in range(k)] for i in range(k)]
-    sign = -1 if (k * (k - 1) // 2) % 2 else 1
-    return Fraction(sign * _bareiss(matrix), (factorial(top) * q ** top) ** k)
+    return _laguerre_det(n, [2 * k - 1] * k, -2 * zeta)
 
 
 def _series(k: int, n: int, zeta: Fraction, ints: Sequence[int], d: int) -> Fraction:

@@ -156,7 +156,8 @@ def fraction_horner(coeffs, t) -> Fraction:
     return acc
 
 
-def _fraction_derivative(coeffs) -> list[Fraction]:
+def fraction_derivative(coeffs) -> list[Fraction]:
+    """Coefficients of the derivative, one Fraction each; a constant gives the zero polynomial [0]."""
     return [Fraction(j + 1) * c for j, c in enumerate(coeffs[1:])] or [Fraction(0)]
 
 
@@ -171,7 +172,7 @@ def fraction_wronskian(polys, t) -> Fraction:
     rows, matrix = polys, []
     for _ in range(len(polys)):
         matrix.append([fraction_horner(c, t) for c in rows])
-        rows = [_fraction_derivative(c) for c in rows]
+        rows = [fraction_derivative(c) for c in rows]
     return fraction_det(matrix)
 
 

@@ -159,6 +159,12 @@ class TestLimitCommand:
             assert (code, out) == (1, "")
             assert err.startswith("error:") and err.endswith("negative: wrong engine\n")
 
+    def test_a_sign_uncertain_limit_is_an_error_not_a_number(self, capsys):
+        code, out, err = run_cli(capsys, "limit", "--two-h", "19", "--k", "10", "--tol", "1e-12")
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and err.endswith("its sign is uncertain\n")
+
     def test_even_limit_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "limit", "--two-h", "2", "--k", "1", "--tol", "1e-10")
         assert code == 0

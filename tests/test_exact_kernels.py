@@ -30,8 +30,8 @@ from cue_moments.moments import (
 from cue_moments.specfun import (
     _bareiss,
     _horner,
+    _laguerre_det,
     _scaled_laguerre,
-    _wronskian,
     moment_gen_engine,
     moment_gen_hankel,
     moment_gen_series,
@@ -43,7 +43,6 @@ from _brute import (
     fraction_horner,
     fraction_limit_half_h,
     fraction_recombine,
-    fraction_wronskian,
     hankel_route,
     laguerre_terms,
     one_shot_coeff_numerators,
@@ -81,7 +80,7 @@ class TestRoutes:
                     assert value == moment_gen_wronskian(k, n, z), (k, n, z)
 
     def test_public_helpers_equal_the_fraction_forms(self):
-        # The routes' integer kernels: m! L_m, homogeneous Horner and the Wronskian.
+        # The routes' integer kernels: m! L_m, homogeneous Horner and the Laguerre determinant.
         for n in range(9):
             for alpha in (-n, 0, 3, 11):
                 poly = _scaled_laguerre(n, alpha)
@@ -89,10 +88,13 @@ class TestRoutes:
                 for t in (Fraction(0), Fraction(-2, 3), Fraction(5, 7), Fraction(-80)):
                     scaled = Fraction(_horner(poly, t.numerator, t.denominator), t.denominator ** n)
                     assert scaled == fraction_horner(poly, t)
-        mixed = [[1, 3, -4], [2, 7], [6], [0, 5, -9, 2]]
-        for polys in (mixed, mixed[:3], mixed[1:]):
-            for t in (Fraction(0), Fraction(3, 4), Fraction(-5, 2), Fraction(11)):
-                assert Fraction(*_wronskian(polys, t)) == fraction_wronskian(polys, t)
+        # Mixed parameters, and n < k, where some entries have negative degree.
+        for n in (0, 1, 2, 5):
+            for alphas in ((4,), (0, 3), (2, 7, 1), (5, 0, 6, 3)):
+                for t in (Fraction(0), Fraction(3, 4), Fraction(-5, 2), Fraction(11)):
+                    matrix = [[fraction_horner(laguerre_terms(n + i - j, a), t) if n + i - j >= 0 else 0
+                               for j, a in enumerate(alphas)] for i in range(len(alphas))]
+                    assert _laguerre_det(n, alphas, t) == fraction_det(matrix), (n, alphas, t)
 
 
 class TestBareiss:

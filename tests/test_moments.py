@@ -224,6 +224,15 @@ class TestLimits:
                 limit_moment_half_h(two_h, k, tol)
         assert time.perf_counter() - start < 5.0
 
+    def test_a_tail_bound_not_below_the_value_raises(self):
+        # These stopping rules hold where twice the last term still covers |value|:
+        # (23, 12) printed -4.57e-173 where a 100-term sum gives +1.470e-176.
+        for two_h, k, tol in ((15, 9, 1e-3), (19, 10, 1e-12), (23, 12, 1e-12)):
+            with pytest.raises(ArithmeticError, match="sign is uncertain"):
+                limit_moment_half_h(two_h, k, tol)
+        result = limit_moment_half_h(13, 7, 1e-12)
+        assert 0 < result.tail_bound < result.value
+
     def test_series_tail_reproduces_k1_limit(self):
         # summing the closed-form tail terms directly gives (e^2-5)/(4 pi)
         total = 0.0

@@ -6,15 +6,13 @@ import pytest
 from cue_moments.moments import keating_snaith
 from cue_moments.specfun import (
     _scaled_laguerre,
-    _wronskian,
-    derivative_coeffs,
     moment_gen_engine,
     moment_gen_hankel,
     moment_gen_series,
     moment_gen_wronskian,
 )
 
-from _brute import fraction_horner, lagrange_interpolate
+from _brute import fraction_derivative, fraction_horner, lagrange_interpolate, laguerre_terms
 
 ZETAS = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2))
 
@@ -22,11 +20,6 @@ ZETAS = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2))
 def laguerre(n, alpha):
     """The routes' kernel m! L_m^(alpha), divided by n!: the Laguerre coefficients."""
     return tuple(Fraction(c, factorial(n)) for c in _scaled_laguerre(n, alpha))
-
-
-def wronskian_at(polys, t):
-    """The routes' integer Wronskian of integer polynomials as one Fraction."""
-    return Fraction(*_wronskian(polys, Fraction(t)))
 
 
 class TestLaguerre:
@@ -65,12 +58,13 @@ class TestLaguerre:
 
 class TestLaguerreIdentities:
     def test_derivative_lowers_degree_and_raises_parameter(self):
-        for n in range(1, 13):
-            for alpha in (0, 1, 2, 3):
-                # d/dt n! L_n^(alpha) = -n (n-1)! L_(n-1)^(alpha+1), over integers
-                derived = derivative_coeffs(_scaled_laguerre(n, alpha))
-                target = tuple(-n * c for c in _scaled_laguerre(n - 1, alpha + 1))
-                assert derived == target
+        # The determinant routes rest on d^j/dt^j L_m^(alpha) = (-1)^j L_(m-j)^(alpha+j).
+        for m in range(13):
+            for alpha in range(13):
+                derived = laguerre_terms(m, alpha)
+                for j in range(m + 1):
+                    assert derived == [(-1) ** j * c for c in laguerre_terms(m - j, alpha + j)], (m, alpha, j)
+                    derived = fraction_derivative(derived)
 
     def test_three_term_parameter_recurrence(self):
         for n in range(1, 13):
@@ -83,28 +77,6 @@ class TestLaguerreIdentities:
                 assert tuple(combined) == laguerre(n, alpha)
 
 
-class TestWronskian:
-    def test_single_polynomial(self):
-        poly = _scaled_laguerre(4, 1)
-        for t in (0, 2, Fraction(-3, 2)):
-            assert wronskian_at([poly], t) == fraction_horner(poly, t)
-
-    def test_constant_one(self):
-        assert wronskian_at([_scaled_laguerre(0, 7)], 0) == 1
-
-    def test_two_by_two_example(self):
-        # W(L_1^(2), L_2^(2))(t) = -6 + 3t - t^2/2, checked at several points;
-        # the integer polynomials 1! L_1 and 2! L_2 carry a factor 2
-        pair = [_scaled_laguerre(1, 2), _scaled_laguerre(2, 2)]
-        for t in (Fraction(0), Fraction(2), Fraction(1, 2), Fraction(-7, 3)):
-            expected = -6 + 3 * t - Fraction(t * t, 2)
-            assert wronskian_at(pair, t) == 2 * expected
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            wronskian_at([], 0)
-
-
 class TestMomentGen:
     def test_zeta_zero_equals_zeroth_moment(self):
         for k in range(1, 5):
@@ -115,6 +87,11 @@ class TestMomentGen:
 
     def test_small_series_example(self):
         assert moment_gen_series(1, 1, 1) == 4
+
+    def test_two_by_two_wronskian_example(self):
+        # W(L_1^(2), L_2^(2))(-2 zeta), sign (-1)^1: 6 + 6 zeta + 2 zeta^2
+        for z in (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(7, 3)):
+            assert moment_gen_wronskian(2, 1, z) == 6 + 6 * z + 2 * z * z
 
     def test_hankel_matches_wronskian_spot_checks(self):
         assert moment_gen_hankel(3, 2, Fraction(1, 2)) == moment_gen_wronskian(3, 2, Fraction(1, 2))

@@ -5,7 +5,7 @@ import io
 import json
 import sys
 
-from cue_moments import coefficients
+from cue_moments import coefficients, specfun
 from cue_moments.cli import main
 from cue_moments.verification import run_all_checks
 
@@ -57,6 +57,13 @@ def test_an_engine_off_by_one_in_h1_fails_verify(monkeypatch, capsys):
     assert {"three-route-identity", "vanishing-residuals", "coefficient-engine"} <= failed
     assert main(["verify"]) == 1
     assert "FAILURES detected" in capsys.readouterr().out
+
+
+def test_a_wronskian_with_parameter_k_in_every_column_fails_only_the_route_identity(monkeypatch):
+    # Column j of the Wronskian route has parameter k + j; the Hankel columns all share 2k - 1.
+    determinant = specfun._laguerre_det
+    monkeypatch.setattr(specfun, "_laguerre_det", lambda n, alphas, t: determinant(n, [alphas[0]] * len(alphas), t))
+    assert {r.name for r in run_all_checks() if not r.passed} == {"three-route-identity"}
 
 
 def test_a_raising_engine_fails_its_suites_and_the_rest_still_run(monkeypatch, capsys):
