@@ -87,8 +87,7 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) ->
     j = len(quo)
     if j >= size:
         return
-    while len(_PASCAL) < min(j, _PASCAL_ROWS):
-        _pascal(len(_PASCAL), _PASCAL[-1][0] if _PASCAL else [])
+    # Entries 0..j-1 went through _pascal, which keeps rows in order: the table holds row j - 1.
     row = _PASCAL[j - 1][0] if 0 < j <= _PASCAL_ROWS else [comb(j - 1, i) for i in range(j)]
     while True:
         row, w = _pascal(j, row)

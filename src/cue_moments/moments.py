@@ -10,15 +10,13 @@ are exact rationals for even two_h and truncated series for odd two_h.
 Every value is one recombination, :func:`_recombine` over a prefix of an
 engine vector: a prefactor depending on two_h times the zeroth moment
 times sum_p w_p c_p, where c_p are the coefficients of the reduced moment
-polynomial and the weight w_p depends only on the parity of two_h and on
-n.  The engine, :func:`~cue_moments.coefficients.coeff_numerators`, gives
-integers h_p with c_p = h_p / (p! h_0).  The sum runs over integers above
-one denominator: h_0 for even two_h, P! n^max(P - two_h, 0) h_0 for odd
-two_h, where it is one Horner pass: past p = two_h each integer weight
-follows from the last by a small product, with no factorial, power or
-division per term.  The moment becomes a Fraction once.  The limit is the same sum
-at n = 1 over the engine's limit numerators (n None), times
-:func:`limit_moment_zero`.
+polynomial.  The engine, :func:`~cue_moments.coefficients.coeff_numerators`,
+gives integers h_p with c_p = h_p / (p! h_0).  Every weight w_p, for
+either parity of two_h, follows from the last by one two-term recurrence,
+so the sum is one Horner pass over integers above one denominator, with
+no factorial, power or division per term, and becomes a Fraction once.
+The limit is the same sum at n = 1 over the engine's limit numerators
+(n None), times :func:`limit_moment_zero`.
 
 :func:`exact_moment` is the one entry for every exact value: n None asks
 for the limit, as it does of the engine.  For odd two_h the limit is a
@@ -100,6 +98,7 @@ class LimitResult:
     """Truncated half-integer limit; ``tail_bound`` is the prefactor times twice the last term kept.
 
     That bounds the dropped tail only if the terms keep halving: assumed, not proven.
+    A bound below the least positive float is reported as that float, never as 0.
     """
 
     value: float
@@ -137,31 +136,23 @@ def _prefactor(two_h: int, zeroth: Fraction) -> Fraction:
 def _recombine(two_h: int, n: int, zeroth: Fraction, h: tuple[int, ...]) -> Fraction:
     """Prefactor times sum_p w_p c_p over the numerators h_0..h_P (times 1/pi for odd two_h).
 
-    c_p = h_p / (p! h_0).  For even two_h, w_p c_p is C(two_h, p)
-    (-n)^(two_h - p) h_p / h_0, zero past p = two_h, so the sum is one
-    integer over h_0.  For odd two_h the sum runs over integers above the
-    one denominator S h_0, S = P! n^max(P - two_h, 0), and is one Horner
-    pass, acc = acc p n + a_p h_p: S w_p / p! = a_p (P! / p!) n^(P - p) when
-    P >= two_h, with the integers a_0 = 0,
-    a_p = (-1)^(two_h - p) sum_{l=1..p} (-1)^l C(two_h, p - l) p! / l up to
-    p = two_h, and a_p = two_h! (p - two_h - 1)! beyond, each of these from
-    the last by one small product.  When kn = P < two_h, S = P! and acc
-    gains the missing n^(two_h - P).  The sum becomes a Fraction once;
-    two_h = 0 gives ``zeroth``.
+    c_p = h_p / (p! h_0) and w_p = b_p n^(two_h - p): b_p is g_p for even
+    two_h and a_p for odd, stepped from g_0 = (-1)^two_h and a_0 = 0 by
+    g_(p+1) = (p - two_h) g_p and a_(p+1) = (p - two_h) a_p + g_p, because
+    G = (x - 1)^two_h (a derivative at zeta = 0) and A = -G log(1 - x) (a
+    Laplace integral), their exponential generating functions, satisfy
+    (1 - x) G' = -two_h G and (1 - x) A' = -two_h A + G.  Past two_h, g_p = 0
+    and a_p = two_h! (p - two_h - 1)!.  The sum is one Horner pass over the
+    one denominator S h_0, S = P! n^max(P - two_h, 0), acc = acc p n + b_p h_p:
+    S w_p / p! = b_p (P! / p!) n^(P - p) when P >= two_h; when kn = P < two_h,
+    S = P! and acc gains the missing n^(two_h - P); two_h = 0 gives ``zeroth``.
     """
     prefactor = _prefactor(two_h, zeroth)
-    if two_h % 2 == 0:
-        total = sum(comb(two_h, p) * (-n) ** (two_h - p) * x for p, x in enumerate(h[: two_h + 1]))
-        return Fraction(prefactor.numerator * total, prefactor.denominator * h[0])
     P = len(h) - 1
-    acc, tail = 0, factorial(two_h)
+    acc, a, g = 0, 0, (-1) ** two_h
     for p, x in enumerate(h):
-        if p <= two_h:
-            fp = factorial(p)
-            a = (-1) ** (two_h - p) * sum((-1) ** l * comb(two_h, p - l) * (fp // l) for l in range(1, p + 1))
-        else:
-            a, tail = tail, tail * (p - two_h)
-        acc = acc * (p * n) + a * x
+        acc = acc * (p * n) + (a if two_h % 2 else g) * x
+        a, g = (p - two_h) * a + g, (p - two_h) * g
     acc *= n ** max(two_h - P, 0)
     scale = factorial(P) * n ** max(P - two_h, 0)
     return Fraction(prefactor.numerator * acc, prefactor.denominator * scale * h[0])
@@ -273,5 +264,5 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     if tail_bound >= abs(value):
         raise ArithmeticError(
             f"the tail bound after {p - two_h} terms does not separate the limit from zero: its sign is uncertain")
-    return LimitResult(value=ExactScalar(value).to_float(), tail_bound=ExactScalar(tail_bound).to_float(),
-                       terms_used=p - two_h)
+    return LimitResult(value=ExactScalar(value).to_float(),
+                       tail_bound=max(ExactScalar(tail_bound).to_float(), math.ulp(0.0)), terms_used=p - two_h)

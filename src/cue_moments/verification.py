@@ -9,16 +9,16 @@ relies on: the engine's coefficients meet the partition sums
 (``coefficient-engine``, ``vanishing-residuals``), its reduced polynomial
 meets the Wronskian, Hankel and series routes (``three-route-identity``),
 the moments meet a closed form (``half-moment-closed-form``), and the
-half-integer limit lies within its tail bound of an exact sum over
-closed-form coefficients (``half-limit-tail-bound``); the partition sums
-in turn meet the hook, transpose, bound and closed-form identities.
+half-integer limit lies within its tail bound of an exact sum of
+closed forms (``half-limit-tail-bound``); the partition sums in turn
+meet the hook, transpose, bound and closed-form identities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable
 
 from .coefficients import (
@@ -30,9 +30,9 @@ from .coefficients import (
     series_coeff_closed,
     series_coeff_limit,
 )
-from .moments import ExactScalar, _recombine, half_moment_k1_closed, limit_moment_half_h, limit_moment_zero, moment_half_h
+from .moments import ExactScalar, half_moment_k1_closed, limit_moment_half_h, limit_moment_zero, moment_half_h
 from .partitions import hook_product, partitions_of, pochhammer, transpose
-from .specfun import _cleared, moment_gen_engine, moment_gen_hankel, moment_gen_series, moment_gen_wronskian
+from .specfun import moment_gen_engine, moment_gen_hankel, moment_gen_series, moment_gen_wronskian
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,26 @@ def check_half_moment_closed_form() -> CheckResult:
     )
 
 
+def _half_limit_weight(p: int, two_h: int) -> Fraction:
+    """The paper's closed-form weight of c_p in the half-integer limit (odd two_h, n = 1)."""
+    if p > two_h:
+        return Fraction(factorial(two_h) * factorial(p - two_h - 1))
+    inner = sum((Fraction(comb(two_h, p - l) * (-1) ** l, l) for l in range(1, p + 1)), Fraction(0))
+    return factorial(p) * (-1) ** (two_h - p) * inner
+
+
 def check_half_limit_tail_bound() -> CheckResult:
     """The half-integer limit within its tail bound of an exact sum, and that bound within tol.
 
-    The reference recombines, with the limit's own weights, c_0..c_45 of
-    the k <= 2 closed forms (``series_coeff_closed``), not the engine's
-    or the partition sums'; its terms past p = 45 are below 1e-80.
+    The reference sums closed forms only, in Fractions: the weights of
+    :func:`_half_limit_weight` times c_0..c_45 of ``series_coeff_closed``
+    (k <= 2); its terms past p = 45 are below 1e-80.
     """
     def cases():
         for two_h, k in ((1, 1), (1, 2), (3, 2)):
-            h, _ = _cleared([series_coeff_closed(p, k) * factorial(p) for p in range(46)])
-            reference = float(ExactScalar(_recombine(two_h, 1, limit_moment_zero(k), h)))
+            prefactor = Fraction(2 * (-1) ** ((two_h + 1) // 2), 2 ** two_h) * limit_moment_zero(k)
+            inner = sum(_half_limit_weight(p, two_h) * series_coeff_closed(p, k) for p in range(46))
+            reference = float(ExactScalar(prefactor * inner))
             for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
                 result = limit_moment_half_h(two_h, k, tol)
                 yield abs(result.value - reference) <= result.tail_bound <= tol

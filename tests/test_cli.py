@@ -127,6 +127,14 @@ class TestLimitCommand:
         assert float(payload["result"]["value"]) == pytest.approx(0.190115043734329, abs=1e-10)
         assert float(payload["result"]["tail_bound"]) <= 1e-12
 
+    def test_an_underflowing_tail_bound_prints_the_least_float(self, capsys):
+        # 201 terms leave an exact positive bound whose nearest float is 0.0.
+        argv = ("limit", "--two-h", "1", "--k", "1", "--tol", "5e-324")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "(tail_bound 4.94e-324, 201 tail terms)" in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["result"]["tail_bound"] == "5e-324"
+
     def test_non_finite_tol_is_an_error(self, capsys):
         for two_h in ("1", "2"):
             for tol in ("inf", "nan"):

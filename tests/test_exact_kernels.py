@@ -188,14 +188,6 @@ class TestResumableCondensation:
         assert len(table) == _PASCAL_ROWS
         assert all(row == [comb(J, i) for i in range(J + 1)] for J, (row, _) in enumerate(table))
 
-    def test_a_level_resumed_past_an_empty_table_fills_it_in_order(self, monkeypatch):
-        expected = one_shot_coeff_numerators(3, 30, 90)
-        state = _Condensation(3, 30)
-        state.numerators(40)
-        monkeypatch.setattr(coefficients, "_PASCAL", [])
-        assert tuple(state.numerators(90)) == expected
-        assert [row for row, _ in coefficients._PASCAL] == [[comb(J, i) for i in range(J + 1)] for J in range(93)]
-
     def test_every_level_leads_with_a_positive_value(self):
         for k in range(1, 17):
             for n in (None, 1, 2, 3, 7, 20):
@@ -235,6 +227,22 @@ class TestRecombination:
             zeroth = keating_snaith(n, k)
             expected = fraction_recombine(two_h, n, zeroth, coeff_vector(k, n, k * n))
             assert _recombine(two_h, n, zeroth, coeff_numerators(k, n, k * n)) == expected, (n, two_h, k)
+
+    def test_synthetic_numerators_equal_the_closed_form_weights(self):
+        # The stepped weights against the closed forms far past the moment cells:
+        # P < two_h, P = two_h and P > two_h for both parities, up to two_h = 31.
+        rng = random.Random(5)
+        cases = 0
+        for two_h in range(32):
+            for n in (1, 2, 7):
+                for length in sorted({1, 2, two_h // 2 + 1, two_h + 1, two_h + 2, 40, 64}):
+                    h = (rng.randint(1, 10 ** 6), *(rng.randint(-10 ** 12, 10 ** 12) for _ in range(length - 1)))
+                    zeroth = Fraction(rng.randint(1, 999), rng.randint(1, 999))
+                    coeffs = [Fraction(x, factorial(p) * h[0]) for p, x in enumerate(h)]
+                    expected = fraction_recombine(two_h, n, zeroth, coeffs)
+                    assert _recombine(two_h, n, zeroth, h) == expected, (two_h, n, length)
+                    cases += 1
+        assert cases == 651
 
     def test_closed_half_moment_equals_its_fraction_sum(self):
         for n in range(1, 51):

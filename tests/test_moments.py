@@ -204,6 +204,12 @@ class TestLimits:
             reference = ExactScalar(fraction_recombine(two_h, 1, limit_moment_zero(k), coeffs)).to_float()
             assert abs(result.value - reference) <= result.tail_bound <= tol, (two_h, k, tol)
 
+    def test_a_tail_bound_below_the_least_float_is_that_float_not_zero(self):
+        # 201 terms leave an exact positive bound whose nearest float is 0.0.
+        result = limit_moment_half_h(1, 1, 5e-324)
+        assert result.terms_used == 201
+        assert result.tail_bound == 5e-324
+
     def test_half_limit_rejects(self):
         with pytest.raises(ValueError):
             limit_moment_half_h(2, 1, 1e-8)
