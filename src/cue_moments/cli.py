@@ -1,6 +1,9 @@
 """Command-line frontend: single moments, limits, tables, oracles, verification.
 
 Each runner computes its values once; :func:`_emit` writes them as text, JSON or CSV.
+:func:`main` parses a request in one argparse pass, with the parser of its
+command, built on first use; the top-level parser serves only help and usage
+errors.
 """
 
 from __future__ import annotations
@@ -230,62 +233,87 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _add_arguments(command: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare ``command``'s arguments on ``p``: the one grammar of both entry points."""
+    if command == "moment":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--two-h", type=int, required=True, dest="two_h", help="2h (h may be half-integer)")
+        p.add_argument("--k", type=int, required=True)
+    elif command == "limit":
+        p.add_argument("--two-h", type=int, required=True, dest="two_h")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--tol", type=float, required=True)
+    elif command == "table":
+        p.add_argument("--n", type=_int_list, required=True, metavar="LIST")
+        p.add_argument("--two-h", type=_int_list, required=True, dest="two_h", metavar="LIST")
+        p.add_argument("--k", type=_int_list, required=True, metavar="LIST")
+        # A list with a leading minus ("-1,0") is a value, so it reaches the size check.
+        p._negative_number_matcher = re.compile(r"^-\d[\d,-]*$")
+    elif command == "mc":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--two-h", type=int, required=True, dest="two_h")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+    elif command == "quad":
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--zeta", type=float, default=1.0)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--tol", type=float, default=1e-8)
+        # Negative floats in any syntax float() reads ("-1e-3", "-inf") are values, so they reach the checks.
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text", dest="output_format")
+    p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
+    return p
+
+
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command, for an argv that starts with its name; built on first use.
+
+    It reads the arguments after the command word, in the one pass the
+    request needs, and fills the namespace the top-level parser would.
+    """
+    parser = argparse.ArgumentParser(prog=f"cue-moments {command}")
+    parser.set_defaults(command=command)
+    return _add_arguments(command, parser)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later call.
+    """The top-level parser, built on first use and shared by every later call.
 
-    Parsing keeps no state in the parser: each ``parse_args`` returns a fresh
-    namespace, and help and usage are formatted at the terminal width of the
-    moment, so :func:`main` can serve many requests in one process.
+    :func:`main` needs it only for help and usage errors, that is for an argv
+    that does not start with a command name: no arguments, ``--help``, an
+    unknown command, an option before the command.  :func:`_add_arguments`
+    declares its subcommands and the per-command parsers alike, so both read
+    one grammar.  Parsing keeps no state in a parser: each ``parse_args``
+    returns a fresh namespace, and help and usage are formatted at the
+    terminal width of the moment, so :func:`main` can serve many requests in
+    one process.
     """
     parser = argparse.ArgumentParser(
         prog="cue-moments",
         description="Joint moments of CUE characteristic polynomials and their derivative, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_moment = sub.add_parser("moment", help="exact moment at finite matrix size")
-    p_moment.add_argument("--n", type=int, required=True)
-    p_moment.add_argument("--two-h", type=int, required=True, dest="two_h", help="2h (h may be half-integer)")
-    p_moment.add_argument("--k", type=int, required=True)
-
-    p_limit = sub.add_parser("limit", help="scaled large-size limit of a moment")
-    p_limit.add_argument("--two-h", type=int, required=True, dest="two_h")
-    p_limit.add_argument("--k", type=int, required=True)
-    p_limit.add_argument("--tol", type=float, required=True)
-
-    p_table = sub.add_parser("table", help="moments over an (n, 2h, k) grid")
-    p_table.add_argument("--n", type=_int_list, required=True, metavar="LIST")
-    p_table.add_argument("--two-h", type=_int_list, required=True, dest="two_h", metavar="LIST")
-    p_table.add_argument("--k", type=_int_list, required=True, metavar="LIST")
-    # A list with a leading minus ("-1,0") is a value, so it reaches the size check.
-    p_table._negative_number_matcher = re.compile(r"^-\d[\d,-]*$")
-
-    p_mc = sub.add_parser("mc", help="Monte Carlo estimate over Haar-random unitaries")
-    p_mc.add_argument("--n", type=int, required=True)
-    p_mc.add_argument("--two-h", type=int, required=True, dest="two_h")
-    p_mc.add_argument("--k", type=int, required=True)
-    p_mc.add_argument("--trials", type=int, required=True)
-    p_mc.add_argument("--seed", type=int, default=0)
-
-    p_quad = sub.add_parser("quad", help=f"direct quadrature of the defining integral (n <= {QUAD_N_MAX})")
-    p_quad.add_argument("--k", type=int, required=True)
-    p_quad.add_argument("--zeta", type=float, default=1.0)
-    p_quad.add_argument("--n", type=int, required=True)
-    p_quad.add_argument("--tol", type=float, default=1e-8)
-    # Negative floats in any syntax float() reads ("-1e-3", "-inf") are values, so they reach the checks.
-    p_quad._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
-
-    sub.add_parser("verify", help="run every exact identity suite")
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text", dest="output_format")
-        p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
-
+    for command, summary in (
+        ("moment", "exact moment at finite matrix size"),
+        ("limit", "scaled large-size limit of a moment"),
+        ("table", "moments over an (n, 2h, k) grid"),
+        ("mc", "Monte Carlo estimate over Haar-random unitaries"),
+        ("quad", f"direct quadrature of the defining integral (n <= {QUAD_N_MAX})"),
+        ("verify", "run every exact identity suite"),
+    ):
+        _add_arguments(command, sub.add_parser(command, help=summary))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``) once, run its command, return the exit status."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _RUNNERS:
+        return run(_command_parser(argv[0]).parse_args(argv[1:]))
     return run(build_parser().parse_args(argv))
 
 

@@ -11,11 +11,12 @@ from itertools import product
 import pytest
 
 import cue_moments
-from cue_moments import moments, oracles
-from cue_moments.cli import _decimal, build_parser, format_exact, main
+from cue_moments import cli, moments, oracles
+from cue_moments.cli import _command_parser, _decimal, build_parser, format_exact, main
 from cue_moments.moments import ExactScalar, MomentOrder, exact_moment, keating_snaith
 
 from _brute import decimal_15g, decimal_digits
+from make_golden_cli import COMMANDS, FORMATS
 
 
 def run_cli(capsys, *argv):
@@ -345,15 +346,47 @@ class TestVerifyCommand:
         assert "all suites passed" in out
 
 
-class TestConfigHandling:
-    def test_missing_required_flag_exits_nonzero(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["moment", "--n", "1", "--k", "1"])
-        assert excinfo.value.code != 0
+def usage(command: str = "") -> str:
+    """The usage lines of HELP[command]: what a usage error prints before its message."""
+    return HELP[command].split("\n\n")[0] + "\n"
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+
+# The argv of each exact_table request in bench/worker.py.
+EXACT_TABLE = [["moment", "--n", str(n), "--two-h", str(two_h), "--k", str(k), "--format", "json"]
+               for n in range(1, 13) for k in range(1, 5) for two_h in range(2 * k + 1)]
+
+
+class TestConfigHandling:
+    @pytest.fixture(autouse=True)
+    def width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_missing_required_flag_exits_nonzero(self, capsys):
+        assert run_cli(capsys, "moment", "--n", "1", "--k", "1") == (
+            2, "", usage("moment") + "cue-moments moment: error: the following arguments are required: --two-h\n")
+
+    def test_unknown_command_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "frobnicate")
+        assert (code, out) == (2, "")
+        assert err.startswith(usage() + "cue-moments: error: argument command: invalid choice: 'frobnicate'")
+
+    def test_no_command_rejected(self, capsys):
+        assert run_cli(capsys) == (
+            2, "", usage() + "cue-moments: error: the following arguments are required: command\n")
+
+    def test_unrecognized_argument_shows_the_command_usage(self, capsys):
+        # The command's own parser reads everything after the command word, so
+        # its usage, not the top level's, comes with the error.
+        assert run_cli(capsys, "moment", "--n", "3", "--two-h", "1", "--k", "2", "--bogus") == (
+            2, "", usage("moment") + "cue-moments moment: error: unrecognized arguments: --bogus\n")
+
+    def test_command_parser_reads_what_the_top_level_parser_reads(self):
+        def fields(namespace):  # by repr, so that a --tol of nan equals itself
+            return {name: repr(value) for name, value in vars(namespace).items()}
+        argvs = [[*argv, "--format", output_format] for argv in COMMANDS for output_format in FORMATS]
+        for argv in argvs + EXACT_TABLE:
+            one_pass = fields(_command_parser(argv[0]).parse_args(argv[1:]))
+            assert one_pass == fields(build_parser().parse_args(argv)), argv
 
 
 # Help of the top level and of each subcommand at COLUMNS=80.
@@ -450,34 +483,75 @@ options:
 
 
 class TestParserReuse:
+    requests = (["moment", "--n", "3", "--two-h", "1", "--k", "2", "--format", "json"],
+                ["limit", "--two-h", "1", "--k", "1", "--tol", "1e-10"])
+
     def test_reused_parser_carries_no_state(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         build_parser.cache_clear()
-        requests = (["moment", "--n", "3", "--two-h", "1", "--k", "2", "--format", "json"],
-                    ["limit", "--two-h", "1", "--k", "1", "--tol", "1e-10"])
+        _command_parser.cache_clear()
         usage_error = ["moment", "--n", "1", "--k", "1"]
         size_error = ["table", "--n", "1", "--two-h", "-1,0", "--k", "1"]
-        first = [run_cli(capsys, *argv) for argv in requests]
+        first = [run_cli(capsys, *argv) for argv in self.requests]
         assert [code for code, _, _ in first] == [0, 0]
-        for disturbance in (usage_error, ["--help"], size_error):
+        for disturbance in (usage_error, ["--help"], ["moment", "--help"], size_error):
             seen = run_cli(capsys, *disturbance)
-            assert [run_cli(capsys, *argv) for argv in requests] == first
+            assert [run_cli(capsys, *argv) for argv in self.requests] == first
             assert run_cli(capsys, *disturbance) == seen
         assert run_cli(capsys, *usage_error)[0] == 2
         assert run_cli(capsys, "--help") == (0, HELP[""], "")
+        assert run_cli(capsys, "moment", "--help") == (0, HELP["moment"], "")
         assert run_cli(capsys, *size_error) == (
             1, "", "error: command 'table' needs every n >= 1, two_h >= 0 and k >= 1\n")
+        # One parser each for moment, limit and table, and the top level for --help.
+        assert _command_parser.cache_info().misses == 3
         assert build_parser.cache_info().misses == 1
+
+    def test_a_request_builds_only_the_parser_of_its_command(self, capsys, monkeypatch):
+        built = []
+        declare = cli._add_arguments
+
+        def recording(command, parser):
+            built.append(command)
+            return declare(command, parser)
+        monkeypatch.setattr(cli, "_add_arguments", recording)
+        build_parser.cache_clear()
+        _command_parser.cache_clear()
+        for argv in self.requests * 2:
+            assert run_cli(capsys, *argv)[0] == 0
+        assert built == ["moment", "limit"]
+        assert _command_parser.cache_info().misses == 2
+        assert build_parser.cache_info().misses == 0
+        assert run_cli(capsys, "--help")[0] == 0
+        assert built[2:] == ["moment", "limit", "table", "mc", "quad", "verify"]
+        assert build_parser.cache_info().misses == 1
+        assert _command_parser.cache_info().misses == 2
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        want = run_cli(capsys, *self.requests[0])
+        build_parser.cache_clear()
+        _command_parser.cache_clear()
+        monkeypatch.setattr(sys, "argv", ["cue-moments", *self.requests[0]])
+        assert (main(), *capsys.readouterr()) == want
+        assert _command_parser.cache_info().misses == 1
+        assert build_parser.cache_info().misses == 0
 
     @pytest.mark.parametrize("command", sorted(HELP))
     def test_help_text_is_pinned(self, capsys, monkeypatch, command):
         # Build under another width: help must be laid out at the width of the call.
         monkeypatch.setenv("COLUMNS", "40")
         build_parser.cache_clear()
+        _command_parser.cache_clear()
         build_parser()
+        if command:
+            _command_parser(command)
         monkeypatch.setenv("COLUMNS", "80")
         argv = [command, "--help"] if command else ["--help"]
         assert run_cli(capsys, *argv) == (0, HELP[command], "")
+        # The top-level parser's subcommand prints the same help.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert (excinfo.value.code, *capsys.readouterr()) == (0, HELP[command], "")
 
 
 class TestFileOutput:
