@@ -2,8 +2,9 @@
 
 Each runner computes its values once; :func:`_emit` writes them as text, JSON or CSV.
 :func:`main` parses a request in one argparse pass, with the parser of its
-command, built on first use; the top-level parser serves only help and usage
-errors.
+command, built on first use: that parser is the one declaration of the
+command's arguments.  The top-level parser only names the commands, and
+serves only help and usage errors.
 """
 
 from __future__ import annotations
@@ -233,8 +234,11 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _add_arguments(command: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """Declare ``command``'s arguments on ``p``: the one grammar of both entry points."""
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one command, the one declaration of its arguments; built on first use."""
+    p = argparse.ArgumentParser(prog=f"cue-moments {command}")
+    p.set_defaults(command=command)
     if command == "moment":
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--two-h", type=int, required=True, dest="two_h", help="2h (h may be half-integer)")
@@ -268,29 +272,16 @@ def _add_arguments(command: str, p: argparse.ArgumentParser) -> argparse.Argumen
 
 
 @functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one command, for an argv that starts with its name; built on first use.
-
-    It reads the arguments after the command word, in the one pass the
-    request needs, and fills the namespace the top-level parser would.
-    """
-    parser = argparse.ArgumentParser(prog=f"cue-moments {command}")
-    parser.set_defaults(command=command)
-    return _add_arguments(command, parser)
-
-
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser, built on first use and shared by every later call.
 
-    :func:`main` needs it only for help and usage errors, that is for an argv
-    that does not start with a command name: no arguments, ``--help``, an
-    unknown command, an option before the command.  :func:`_add_arguments`
-    declares its subcommands and the per-command parsers alike, so both read
-    one grammar.  Parsing keeps no state in a parser: each ``parse_args``
-    returns a fresh namespace, and help and usage are formatted at the
-    terminal width of the moment, so :func:`main` can serve many requests in
-    one process.
+    It names the commands and declares none of their arguments.  :func:`main`
+    needs it only for help and usage errors, that is for an argv that does
+    not start with a command name: no arguments, ``--help``, an unknown
+    command, an option before the command.  Parsing keeps no state in a
+    parser: each ``parse_args`` returns a fresh namespace, and help and usage
+    are formatted at the terminal width of the moment, so :func:`main` can
+    serve many requests in one process.
     """
     parser = argparse.ArgumentParser(
         prog="cue-moments",
@@ -305,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("quad", f"direct quadrature of the defining integral (n <= {QUAD_N_MAX})"),
         ("verify", "run every exact identity suite"),
     ):
-        _add_arguments(command, sub.add_parser(command, help=summary))
+        sub.add_parser(command, help=summary)
     return parser
 
 
@@ -314,7 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _RUNNERS:
         return run(_command_parser(argv[0]).parse_args(argv[1:]))
-    return run(build_parser().parse_args(argv))
+    # Help or a usage error, which exit.  Only an argparse that drops a "--" before the
+    # command returns, with a bare command: it runs as if it came alone.
+    command = build_parser().parse_args(argv).command
+    return run(_command_parser(command).parse_args([]))
 
 
 if __name__ == "__main__":

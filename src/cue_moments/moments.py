@@ -144,8 +144,9 @@ def _recombine(two_h: int, n: int, zeroth: Fraction, h: tuple[int, ...]) -> Frac
     (1 - x) G' = -two_h G and (1 - x) A' = -two_h A + G.  Past two_h, g_p = 0
     and a_p = two_h! (p - two_h - 1)!.  The sum is one Horner pass over the
     one denominator S h_0, S = P! n^max(P - two_h, 0), acc = acc p n + b_p h_p:
-    S w_p / p! = b_p (P! / p!) n^(P - p) when P >= two_h; when kn = P < two_h,
-    S = P! and acc gains the missing n^(two_h - P); two_h = 0 gives ``zeroth``.
+    S w_p / p! = b_p (P! / p!) n^(P - p).  That needs P >= two_h or n = 1,
+    which every moment meets: kn = P < two_h <= 2k forces n = 1, where the
+    clamp keeps S an int.  two_h = 0 gives ``zeroth``.
     """
     prefactor = _prefactor(two_h, zeroth)
     P = len(h) - 1
@@ -153,7 +154,6 @@ def _recombine(two_h: int, n: int, zeroth: Fraction, h: tuple[int, ...]) -> Frac
     for p, x in enumerate(h):
         acc = acc * (p * n) + (a if two_h % 2 else g) * x
         a, g = (p - two_h) * a + g, (p - two_h) * g
-    acc *= n ** max(two_h - P, 0)
     scale = factorial(P) * n ** max(P - two_h, 0)
     return Fraction(prefactor.numerator * acc, prefactor.denominator * scale * h[0])
 

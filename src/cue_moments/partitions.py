@@ -26,8 +26,7 @@ def _partitions(total: int, max_parts: int, max_part: int) -> tuple[Partition, .
     # Reverse-lexicographic order follows from taking first parts largest first.
     if total == 0:
         return ((),)
-    if max_parts == 0:
-        return ()
+    # max_parts >= 1 here: a call with max_parts - 1 = 0 takes first = total, so total = 0.
     smallest_first = -(-total // max_parts)  # first part must cover its share
     return tuple(
         (first,) + rest

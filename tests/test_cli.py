@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -11,12 +12,11 @@ from itertools import product
 import pytest
 
 import cue_moments
-from cue_moments import cli, moments, oracles
+from cue_moments import moments, oracles
 from cue_moments.cli import _command_parser, _decimal, build_parser, format_exact, main
 from cue_moments.moments import ExactScalar, MomentOrder, exact_moment, keating_snaith
 
 from _brute import decimal_15g, decimal_digits
-from make_golden_cli import COMMANDS, FORMATS
 
 
 def run_cli(capsys, *argv):
@@ -351,11 +351,6 @@ def usage(command: str = "") -> str:
     return HELP[command].split("\n\n")[0] + "\n"
 
 
-# The argv of each exact_table request in bench/worker.py.
-EXACT_TABLE = [["moment", "--n", str(n), "--two-h", str(two_h), "--k", str(k), "--format", "json"]
-               for n in range(1, 13) for k in range(1, 5) for two_h in range(2 * k + 1)]
-
-
 class TestConfigHandling:
     @pytest.fixture(autouse=True)
     def width(self, monkeypatch):
@@ -380,13 +375,28 @@ class TestConfigHandling:
         assert run_cli(capsys, "moment", "--n", "3", "--two-h", "1", "--k", "2", "--bogus") == (
             2, "", usage("moment") + "cue-moments moment: error: unrecognized arguments: --bogus\n")
 
-    def test_command_parser_reads_what_the_top_level_parser_reads(self):
-        def fields(namespace):  # by repr, so that a --tol of nan equals itself
-            return {name: repr(value) for name, value in vars(namespace).items()}
-        argvs = [[*argv, "--format", output_format] for argv in COMMANDS for output_format in FORMATS]
-        for argv in argvs + EXACT_TABLE:
-            one_pass = fields(_command_parser(argv[0]).parse_args(argv[1:]))
-            assert one_pass == fields(build_parser().parse_args(argv)), argv
+    def test_an_argv_not_led_by_a_command_reaches_only_the_top_level_parser(self, capsys):
+        _command_parser.cache_clear()
+        moment = ["moment", "--n", "1", "--two-h", "0", "--k", "1"]
+        error = usage() + "cue-moments: error: "
+        for argv, want in [
+            ([], (2, "", error + "the following arguments are required: command\n")),
+            (["--help"], (0, HELP[""], "")),
+            (["frobnicate"], (2, "", error + "argument command: invalid choice: 'frobnicate'")),
+            (["--format", "json", *moment], (2, "", error + "argument command: invalid choice: 'json'")),
+            (["--format=json", "moment"], (2, "", error + "unrecognized arguments: --format=json\n")),
+            (["--", *moment], (2, "", error + "argument command: invalid choice: '--'")),
+        ]:
+            code, out, err = run_cli(capsys, *argv)
+            # Python releases word the list of choices after an invalid choice differently.
+            assert (code, out, err.partition(" (choose from ")[0]) == want, argv
+        assert _command_parser.cache_info().misses == 0
+
+    def test_a_bare_command_from_the_top_level_parser_reads_no_arguments(self, capsys, monkeypatch):
+        # An argparse that drops the "--" of ["--", "moment"] returns the bare command.
+        monkeypatch.setattr(build_parser(), "parse_args", lambda argv: argparse.Namespace(command="moment"))
+        assert run_cli(capsys, "--", "moment") == (
+            2, "", usage("moment") + "cue-moments moment: error: the following arguments are required: --n, --two-h, --k\n")
 
 
 # Help of the top level and of each subcommand at COLUMNS=80.
@@ -507,23 +517,19 @@ class TestParserReuse:
         assert _command_parser.cache_info().misses == 3
         assert build_parser.cache_info().misses == 1
 
-    def test_a_request_builds_only_the_parser_of_its_command(self, capsys, monkeypatch):
-        built = []
-        declare = cli._add_arguments
-
-        def recording(command, parser):
-            built.append(command)
-            return declare(command, parser)
-        monkeypatch.setattr(cli, "_add_arguments", recording)
+    def test_a_request_builds_only_the_parser_of_its_command(self, capsys):
         build_parser.cache_clear()
         _command_parser.cache_clear()
-        for argv in self.requests * 2:
+        for built, argv in enumerate(self.requests, start=1):
             assert run_cli(capsys, *argv)[0] == 0
-        assert built == ["moment", "limit"]
+            assert _command_parser.cache_info().misses == built
+        # Each was its own command's parser: asking for them again builds nothing.
+        for argv in self.requests:
+            _command_parser(argv[0])
+            assert run_cli(capsys, *argv)[0] == 0
         assert _command_parser.cache_info().misses == 2
         assert build_parser.cache_info().misses == 0
         assert run_cli(capsys, "--help")[0] == 0
-        assert built[2:] == ["moment", "limit", "table", "mc", "quad", "verify"]
         assert build_parser.cache_info().misses == 1
         assert _command_parser.cache_info().misses == 2
 
@@ -548,10 +554,6 @@ class TestParserReuse:
         monkeypatch.setenv("COLUMNS", "80")
         argv = [command, "--help"] if command else ["--help"]
         assert run_cli(capsys, *argv) == (0, HELP[command], "")
-        # The top-level parser's subcommand prints the same help.
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(argv)
-        assert (excinfo.value.code, *capsys.readouterr()) == (0, HELP[command], "")
 
 
 class TestFileOutput:

@@ -230,19 +230,22 @@ class TestRecombination:
 
     def test_synthetic_numerators_equal_the_closed_form_weights(self):
         # The stepped weights against the closed forms far past the moment cells:
-        # P < two_h, P = two_h and P > two_h for both parities, up to two_h = 31.
+        # P = two_h and P > two_h for both parities, up to two_h = 31, and P < two_h
+        # at n = 1, the only size where a moment has it.
         rng = random.Random(5)
         cases = 0
         for two_h in range(32):
             for n in (1, 2, 7):
                 for length in sorted({1, 2, two_h // 2 + 1, two_h + 1, two_h + 2, 40, 64}):
+                    if n > 1 and length <= two_h:
+                        continue
                     h = (rng.randint(1, 10 ** 6), *(rng.randint(-10 ** 12, 10 ** 12) for _ in range(length - 1)))
                     zeroth = Fraction(rng.randint(1, 999), rng.randint(1, 999))
                     coeffs = [Fraction(x, factorial(p) * h[0]) for p, x in enumerate(h)]
                     expected = fraction_recombine(two_h, n, zeroth, coeffs)
                     assert _recombine(two_h, n, zeroth, h) == expected, (two_h, n, length)
                     cases += 1
-        assert cases == 651
+        assert cases == 473
 
     def test_closed_half_moment_equals_its_fraction_sum(self):
         for n in range(1, 51):
