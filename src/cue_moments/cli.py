@@ -1,10 +1,13 @@
 """Command-line frontend: single moments, limits, tables, oracles, verification.
 
 Each runner computes its values once; :func:`_emit` writes them as text, JSON or CSV.
-:func:`main` parses a request in one argparse pass, with the parser of its
-command, built on first use: that parser is the one declaration of the
-command's arguments.  The top-level parser only names the commands, and
-serves only help and usage errors.
+:func:`main` reads a request with the parser of its command, built on
+first use: that parser is the one declaration of the command's arguments.
+A well-formed request, ``--option value`` pairs spelled in full, is read
+from that parser's action table without an argparse pass; argparse parses
+every other argv (help, abbreviations, ``--opt=value``, negative numbers,
+usage errors), so what it prints is unchanged.  The top-level parser only
+names the commands, and serves only help and usage errors.
 """
 
 from __future__ import annotations
@@ -300,11 +303,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
+    """What ``parser.parse_args(tokens)`` returns for ``--option value`` pairs, or None to leave it to argparse.
+
+    Each option must be spelled in full and store one value that does not
+    start with "-"; every value must convert with its action's ``type`` and
+    lie in its ``choices``, and every required option must be given.  As in
+    argparse, the last of a repeated option wins, a string default goes
+    through its ``type``, and the parser's own defaults (``command``) fill
+    what no action set.  Anything else (help, an abbreviation,
+    ``--opt=value``, a negative number, a usage error) returns None, so
+    argparse prints what it always has.  The reader reads the parser's
+    action table; the tests check it against ``parse_args``.
+    """
+    if len(tokens) % 2:
+        return None
+    given, values = {}, {}
+    try:
+        for option, text in zip(tokens[::2], tokens[1::2]):
+            action = parser._option_string_actions.get(option)
+            if type(action) is not argparse._StoreAction or action.nargs is not None or text[:1] == "-":
+                return None
+            given[action] = value = (action.type or str)(text)
+            if action.choices is not None and value not in action.choices:
+                return None
+        for action in parser._actions:
+            if action in given:
+                values[action.dest] = given[action]
+            elif action.required:
+                return None
+            elif action.default is not argparse.SUPPRESS:
+                default = action.default
+                values[action.dest] = (action.type or str)(default) if isinstance(default, str) else default
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(**{**parser._defaults, **values})
+
+
 def main(argv: list[str] | None = None) -> int:
-    """Parse ``argv`` (default ``sys.argv[1:]``) once, run its command, return the exit status."""
+    """Read ``argv`` (default ``sys.argv[1:]``) once, run its command, return the exit status.
+
+    A well-formed request, a command name and then ``--option value``
+    pairs, is read by :func:`_read` from its command's parser; argparse
+    parses only what the reader declines.
+    """
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _RUNNERS:
-        return run(_command_parser(argv[0]).parse_args(argv[1:]))
+        parser = _command_parser(argv[0])
+        args = _read(parser, argv[1:])
+        return run(parser.parse_args(argv[1:]) if args is None else args)
     # Help or a usage error, which exit.  Only an argparse that drops a "--" before the
     # command returns, with a bare command: it runs as if it came alone.
     command = build_parser().parse_args(argv).command

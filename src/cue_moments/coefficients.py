@@ -80,7 +80,8 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) ->
     convolution (a b)_j = sum_i C(j, i) a_i b_{j-i}, and the integer series
     form a ring.  The quotient is known to lie in it, so entry j follows
     from quo[:j], cur[:j + 3] and prev[:j + 1] by one integer division by
-    prev[0], which must leave no remainder.  Row j of Pascal's triangle and
+    prev[0], which must leave no remainder; an entry past the end of cur or
+    prev is a zero that is not stored.  Row j of Pascal's triangle and
     its weights depend on j alone: :func:`_pascal` reads them from the
     shared table, or steps them past its bound.
     """
@@ -92,10 +93,11 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) ->
     while True:
         row, w = _pascal(j, row)
         # cur_x cur_y over x + y = j + 2, each unordered pair {x, y} once; its
-        # weight in cur cur'' - cur'^2 is w_x
+        # weight in cur cur'' - cur'^2 is w_x; only pairs inside the entries cur holds
         s, h = j + 2, (j + 3) // 2
-        num = sum(map(mul, cur[:h], map(mul, w, cur[s : s - h : -1])))
-        if s % 2 == 0:
+        lo = max(s + 1 - len(cur), 0)
+        num = sum(map(mul, cur[lo:h], map(mul, w[lo:h], cur[s - lo : s - h : -1])))
+        if s % 2 == 0 and h < len(cur):
             num += w[h] // 2 * cur[h] ** 2
         known = sum(map(mul, map(mul, row[1:], prev[1 : j + 1]), reversed(quo)))
         q, r = divmod(-num - known, prev[0])
@@ -115,7 +117,9 @@ class _Condensation:
     makes u_j(0) > 0 (the tests check it for k <= 16); the divisors u_j(0),
     j < k, are zeroth moments of order j up to a constant, so never zero.
     Level j is extended only as far as a caller asks: u_k to P + 1 terms
-    needs u_j to P + 2(k - j) + 1.
+    needs u_j to P + 2(k - j) + 1.  At size n, u_j is a polynomial of
+    degree j(n + k - j), so level j stops at j(n + k - j) + 1 entries, f at
+    n + k: every entry past the degree is zero and is not stored.
 
     f is L^(1)_{n+k-1}(-2 zeta), with the integer Hurwitz coefficients
     C(n+k, j+1) 2^j, or, for n None, G_1(2 zeta), whose coefficients
@@ -133,11 +137,16 @@ class _Condensation:
         self.levels: list[list[int]] = [[1]] + [[] for _ in range(k)]
 
     def numerators(self, P: int) -> list[int]:
-        """u_k with at least P + 1 terms: the stored level, which later calls extend (and, for n None, rescale)."""
-        k, levels = self.k, self.levels
-        self._grow_f(P + 2 * k - 1)
+        """u_k to P + 1 terms or to its degree: the stored level, which later calls extend (and, for n None, rescale)."""
+        k, n, levels = self.k, self.n, self.levels
+
+        def size(j: int) -> int:
+            wanted = P + 2 * (k - j) + 1
+            return wanted if n is None else min(wanted, j * (n + k - j) + 1)
+
+        self._grow_f(size(1))
         for j in range(2, k + 1):
-            _extend_level(levels[j], levels[j - 1], levels[j - 2], P + 2 * (k - j) + 1)
+            _extend_level(levels[j], levels[j - 1], levels[j - 2], size(j))
         return levels[k]
 
     def _grow_f(self, size: int) -> None:
@@ -178,9 +187,9 @@ def coeff_numerators(k: int, n: int | None, P: int) -> tuple[int, ...]:
     """Integer Hurwitz numerators at size n, n None for the limit: c_p = h_p / (p! h_0), h_0 > 0.
 
     At size n they are h_0..h_min(P, kn): coefficients beyond kn are zero
-    and are not returned.  The limit's are h_0..h_P, at the scale of the
-    limit state when called, so the h_p of two calls may differ by a
-    constant factor.
+    and are neither computed nor returned.  The limit's are h_0..h_P, at
+    the scale of the limit state when called, so the h_p of two calls may
+    differ by a constant factor.
     """
     if k < 1 or P < 0 or (n is not None and n < 1):
         raise ValueError(f"need k >= 1, n >= 1 or None, P >= 0, got {(k, n, P)}")

@@ -13,10 +13,11 @@ import pytest
 
 import cue_moments
 from cue_moments import moments, oracles
-from cue_moments.cli import _command_parser, _decimal, build_parser, format_exact, main
+from cue_moments.cli import _command_parser, _decimal, _read, build_parser, format_exact, main
 from cue_moments.moments import ExactScalar, MomentOrder, exact_moment, keating_snaith
 
 from _brute import decimal_15g, decimal_digits
+from make_golden_cli import COMMANDS, FORMATS
 
 
 def run_cli(capsys, *argv):
@@ -554,6 +555,74 @@ class TestParserReuse:
         monkeypatch.setenv("COLUMNS", "80")
         argv = [command, "--help"] if command else ["--help"]
         assert run_cli(capsys, *argv) == (0, HELP[command], "")
+
+
+# The requests of the exact_table benchmark workload.
+EXACT_TABLE = [["moment", "--n", str(n), "--two-h", str(two_h), "--k", str(k), "--format", "json"]
+               for n in range(1, 13) for k in range(1, 5) for two_h in range(2 * k + 1)]
+
+# One request, as argparse reads it in any spelling.
+REQUEST = ["moment", "--n", "3", "--two-h", "1", "--k", "2", "--format", "json"]
+REQUEST_JSON = """\
+{
+  "command": "moment",
+  "inputs": {
+    "n": 3,
+    "two_h": 1,
+    "k": 2
+  },
+  "result": {
+    "decimal": "22.2284220656302"
+  },
+  "exact": "50908/(729*pi)"
+}
+"""
+
+
+class TestRequestReader:
+    @pytest.fixture(autouse=True)
+    def width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_the_reader_reads_what_parse_args_reads(self):
+        def fields(namespace):  # by repr, so that a --tol of nan equals itself
+            return {name: repr(value) for name, value in vars(namespace).items()}
+        golden = [[*argv, "--format", output_format] for argv in COMMANDS for output_format in FORMATS]
+        declined = []
+        for argv in golden + EXACT_TABLE:
+            parser = _command_parser(argv[0])
+            read = _read(parser, argv[1:])
+            if read is None:
+                declined.append(argv)
+            else:
+                assert fields(read) == fields(parser.parse_args(argv[1:])), argv
+        # Only a value with a leading minus (mc --seed -1) is left to argparse.
+        assert declined == [argv for argv in golden if any(token.startswith("-") for token in argv[2::2])]
+        assert len(declined) == len(FORMATS)
+
+    @pytest.mark.parametrize("argv, read, want", [
+        (REQUEST, True, (0, REQUEST_JSON, "")),
+        # The last of a repeated option wins, in the reader as in argparse.
+        (["moment", "--n", "5", *REQUEST[3:], "--n", "3"], True, (0, REQUEST_JSON, "")),
+        (["moment", "--n=3", *REQUEST[3:]], False, (0, REQUEST_JSON, "")),
+        (["moment", "--n", "3", "--tw", "1", *REQUEST[5:]], False, (0, REQUEST_JSON, "")),
+        (["quad", "--k", "1", "--n", "1", "--zeta", "-2"], False, (
+            0, "quad k=1 zeta=-2.0 n=1: integral 0.637752497381\nclosed form 0.637752497381, |diff| 1.11e-16\n", "")),
+        (["table", "--n", "-1,0", "--two-h", "0", "--k", "1"], False, (
+            1, "", "error: command 'table' needs every n >= 1, two_h >= 0 and k >= 1\n")),
+        (["moment", "--n", "x", *REQUEST[3:]], False, (
+            2, "", usage("moment") + "cue-moments moment: error: argument --n: invalid int value: 'x'\n")),
+        ([*REQUEST[:-1], "xml"], False, (
+            2, "", usage("moment") + "cue-moments moment: error: argument --format: invalid choice: 'xml'")),
+        (REQUEST[:-3], False, (
+            2, "", usage("moment") + "cue-moments moment: error: argument --k: expected one argument\n")),
+        (["moment", "-h"], False, (0, HELP["moment"], "")),
+    ])
+    def test_a_declined_request_prints_what_argparse_prints(self, capsys, argv, read, want):
+        assert (_read(_command_parser(argv[0]), argv[1:]) is not None) == read
+        code, out, err = run_cli(capsys, *argv)
+        # Python releases word the list of choices after an invalid choice differently.
+        assert (code, out, err.partition(" (choose from ")[0]) == want
 
 
 class TestFileOutput:

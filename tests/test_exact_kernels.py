@@ -188,6 +188,15 @@ class TestResumableCondensation:
         assert len(table) == _PASCAL_ROWS
         assert all(row == [comb(J, i) for i in range(J + 1)] for J, (row, _) in enumerate(table))
 
+    def test_a_finite_level_stops_at_its_degree(self):
+        # u_j has degree j(n + k - j): no entry past it is stored.
+        for k in range(1, 7):
+            for n in range(1, 9):
+                coeff_numerators(k, n, k * n)
+                levels = _condensation(k, n).levels
+                assert [len(level) for level in levels[1:]] == [
+                    min(k * n + 2 * (k - j) + 1, j * (n + k - j) + 1) for j in range(1, k + 1)], (k, n)
+
     def test_every_level_leads_with_a_positive_value(self):
         for k in range(1, 17):
             for n in (None, 1, 2, 3, 7, 20):
