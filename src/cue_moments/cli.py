@@ -309,12 +309,12 @@ def _read(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namesp
     Each option must be spelled in full and store one value that does not
     start with "-"; every value must convert with its action's ``type`` and
     lie in its ``choices``, and every required option must be given.  As in
-    argparse, the last of a repeated option wins, a string default goes
-    through its ``type``, and the parser's own defaults (``command``) fill
-    what no action set.  Anything else (help, an abbreviation,
-    ``--opt=value``, a negative number, a usage error) returns None, so
-    argparse prints what it always has.  The reader reads the parser's
-    action table; the tests check it against ``parse_args``.
+    argparse, the last of a repeated option wins, and the declared defaults,
+    then the parser's own (``command``), fill what no option set; no option
+    declares ``nargs`` or a string default for its ``type`` to convert.
+    Anything else (help, an abbreviation, ``--opt=value``, a negative number,
+    a usage error) returns None, so argparse prints what it always has.  The
+    reader reads the parser's action table; the tests check it against ``parse_args``.
     """
     if len(tokens) % 2:
         return None
@@ -322,7 +322,7 @@ def _read(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namesp
     try:
         for option, text in zip(tokens[::2], tokens[1::2]):
             action = parser._option_string_actions.get(option)
-            if type(action) is not argparse._StoreAction or action.nargs is not None or text[:1] == "-":
+            if type(action) is not argparse._StoreAction or text[:1] == "-":
                 return None
             given[action] = value = (action.type or str)(text)
             if action.choices is not None and value not in action.choices:
@@ -333,9 +333,8 @@ def _read(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namesp
             elif action.required:
                 return None
             elif action.default is not argparse.SUPPRESS:
-                default = action.default
-                values[action.dest] = (action.type or str)(default) if isinstance(default, str) else default
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
+                values[action.dest] = action.default
+    except (argparse.ArgumentTypeError, ValueError):
         return None
     return argparse.Namespace(**{**parser._defaults, **values})
 
@@ -353,7 +352,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _read(parser, argv[1:])
         return run(parser.parse_args(argv[1:]) if args is None else args)
     # Help or a usage error, which exit.  Only an argparse that drops a "--" before the
-    # command returns, with a bare command: it runs as if it came alone.
+    # command returns, with a bare command (3.13.13's does; 3.10.13, 3.11.7, 3.12.1 and
+    # 3.13.0 do not): it runs as if it came alone.
     command = build_parser().parse_args(argv).command
     return run(_command_parser(command).parse_args([]))
 

@@ -181,21 +181,19 @@ def _verblunsky_batches(n: int, seed: int, trials: int, batch: int) -> Iterator[
         yield a.T
 
 
-def _szego_at_one(alpha: np.ndarray, work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _szego_at_one(alpha: np.ndarray, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|V| and |V'| for Verblunsky coefficients along the last axis of alpha.
 
     Runs Szegő's recursion Phi_{j+1}(z) = z Phi_j(z) - conj(alpha_j) Phi*_j(z),
     Phi*_{j+1}(z) = Phi*_j(z) - alpha_j z Phi_j(z), and its derivative, at
     z = 1.  There Phi*_j(1) = conj(Phi_j(1)), so the recursion carries three
     arrays, Phi_j(1), Phi_j'(1) and Phi*_j'(1), updated in place in ``work``:
-    a complex array of shape (5,) + alpha.shape[:-1], allocated if not given.
+    a complex array of shape (5,) + alpha.shape[:-1].
     With eigenphases theta, Phi_n'(1) / Phi_n(1) is
     sum 1 / (1 - e^(i theta)) = n/2 + (i/2) sum cot(theta/2), so
     |V| = |Phi_n(1)| and |V'| = |V| |Im(Phi_n'(1) / Phi_n(1))|.  A zero of
     Phi_n at exactly z = 1 makes |V'| non-finite.
     """
-    if work is None:
-        work = np.empty((5, *alpha.shape[:-1]), complex)
     phi, dphi, drev, lead, prod = (work[i, ...] for i in range(5))
     phi.fill(1.0)
     dphi.fill(0.0)

@@ -17,7 +17,7 @@ from cue_moments.cli import _command_parser, _decimal, _read, build_parser, form
 from cue_moments.moments import ExactScalar, MomentOrder, exact_moment, keating_snaith
 
 from _brute import decimal_15g, decimal_digits
-from make_golden_cli import COMMANDS, FORMATS
+from make_golden import COMMANDS, FORMATS
 
 
 def run_cli(capsys, *argv):
@@ -394,7 +394,8 @@ class TestConfigHandling:
         assert _command_parser.cache_info().misses == 0
 
     def test_a_bare_command_from_the_top_level_parser_reads_no_arguments(self, capsys, monkeypatch):
-        # An argparse that drops the "--" of ["--", "moment"] returns the bare command.
+        # An argparse that drops the "--" of ["--", "moment"] returns the bare command:
+        # Python 3.13.13's does, 3.10.13, 3.11.7, 3.12.1 and 3.13.0 do not.
         monkeypatch.setattr(build_parser(), "parse_args", lambda argv: argparse.Namespace(command="moment"))
         assert run_cli(capsys, "--", "moment") == (
             2, "", usage("moment") + "cue-moments moment: error: the following arguments are required: --n, --two-h, --k\n")
@@ -610,6 +611,8 @@ class TestRequestReader:
             0, "quad k=1 zeta=-2.0 n=1: integral 0.637752497381\nclosed form 0.637752497381, |diff| 1.11e-16\n", "")),
         (["table", "--n", "-1,0", "--two-h", "0", "--k", "1"], False, (
             1, "", "error: command 'table' needs every n >= 1, two_h >= 0 and k >= 1\n")),
+        (["table", "--n", "1,x", "--two-h", "0", "--k", "1"], False, (
+            2, "", usage("table") + "cue-moments table: error: argument --n: expected comma-separated integers, got '1,x'\n")),
         (["moment", "--n", "x", *REQUEST[3:]], False, (
             2, "", usage("moment") + "cue-moments moment: error: argument --n: invalid int value: 'x'\n")),
         ([*REQUEST[:-1], "xml"], False, (
@@ -635,6 +638,15 @@ class TestFileOutput:
         on_disk = json.loads(target.read_text())
         assert on_disk["exact"] == "5/pi"
         assert not list(tmp_path.glob(".cue-moments-*"))
+
+    def test_a_failed_write_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        def disk_full(src, dst):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(os, "replace", disk_full)
+        target = tmp_path / "out.json"
+        assert run_cli(capsys, "moment", "--n", "2", "--two-h", "1", "--k", "1", "--out", str(target)) == (
+            1, "", f"error: cannot write {target}: No space left on device\n")
+        assert not list(tmp_path.iterdir())
 
     def test_missing_directory_is_an_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.json"

@@ -1,8 +1,7 @@
 import csv
 import json
 
-from make_golden_cli import GOLDEN_CLI, golden_records
-from make_golden_table import GOLDEN_TABLE, golden_rows
+from make_golden import GOLDEN_CLI, GOLDEN_TABLE, golden_records, golden_rows
 
 
 def test_exact_strings_match_golden_table():

@@ -97,13 +97,18 @@ def szego_at_one_reference(alpha):
     return abs_v, abs_vp
 
 
+def szego_at_one(alpha):
+    """_szego_at_one with a fresh work array."""
+    return _szego_at_one(alpha, np.empty((5, *alpha.shape[:-1]), complex))
+
+
 class TestSzegoRecursion:
     def test_examples(self):
         # n = 1: Phi_1(z) = z - conj(alpha_0), one eigenphase at angle(conj(alpha_0)).
-        abs_v, abs_vp = _szego_at_one(np.array([-1.0 + 0j]))  # theta = pi
+        abs_v, abs_vp = szego_at_one(np.array([-1.0 + 0j]))  # theta = pi
         assert abs_v == pytest.approx(2.0, rel=1e-15)
         assert abs_vp == pytest.approx(0.0, abs=1e-15)
-        abs_v, abs_vp = _szego_at_one(np.array([-1j]))  # theta = pi/2
+        abs_v, abs_vp = szego_at_one(np.array([-1j]))  # theta = pi/2
         assert abs_v == pytest.approx(math.sqrt(2), rel=1e-14)
         assert abs_vp == pytest.approx(math.sqrt(2) / 2, rel=1e-14)
 
@@ -116,15 +121,15 @@ class TestSzegoRecursion:
                 half = np.angle(roots) / 2.0
                 expected_v = np.prod(2.0 * np.abs(np.sin(half)))
                 expected_vp = expected_v * abs(np.sum(np.cos(half) / np.sin(half))) / 2.0
-                abs_v, abs_vp = _szego_at_one(alpha)
+                abs_v, abs_vp = szego_at_one(alpha)
                 assert abs(abs_v - expected_v) <= 1e-10 * expected_v
                 assert abs(abs_vp - expected_vp) <= 1e-10 * expected_vp
 
     def test_batch_rows_match_batches_of_one(self):
         alpha = np.stack([fixed_alphas(5, shift) for shift in range(4)])
-        abs_v, abs_vp = _szego_at_one(alpha)
+        abs_v, abs_vp = szego_at_one(alpha)
         for row in range(4):
-            single_v, single_vp = _szego_at_one(alpha[row : row + 1])
+            single_v, single_vp = szego_at_one(alpha[row : row + 1])
             assert abs_v[row] == single_v[0] and abs_vp[row] == single_vp[0]
 
     @pytest.mark.parametrize("n", [1, 3, 8])
@@ -139,13 +144,13 @@ class TestSzegoRecursion:
         work = np.full((5, 4096), np.nan, complex)
         for layout in layouts:
             want = szego_at_one_reference(layout)
-            for got in (_szego_at_one(layout), _szego_at_one(layout, work[:, : len(layout)])):
+            for got in (szego_at_one(layout), _szego_at_one(layout, work[:, : len(layout)])):
                 for got_part, want_part in zip(got, want):
                     assert np.array_equal(got_part, want_part, equal_nan=True)
 
     def test_pole_is_non_finite(self):
         # alpha_0 = 1 puts the eigenvalue at z = 1 exactly, where cot(theta/2) has its pole.
-        abs_v, abs_vp = _szego_at_one(np.array([1.0 + 0j]))
+        abs_v, abs_vp = szego_at_one(np.array([1.0 + 0j]))
         assert abs_v == 0.0
         assert not np.isfinite(abs_vp)
 
@@ -193,7 +198,7 @@ class TestStream:
 class TestDistribution:
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_matches_qr_haar_reference(self, n):
-        abs_v, abs_vp = _szego_at_one(draw_verblunsky(n, KS_SEED, KS_DRAWS))
+        abs_v, abs_vp = szego_at_one(draw_verblunsky(n, KS_SEED, KS_DRAWS))
         ref_v, ref_vp = haar_v_values(n, KS_DRAWS, KS_REFERENCE_SEED)
         assert ks_statistic(abs_v, ref_v) <= KS_CRITICAL
         assert ks_statistic(abs_vp, ref_vp) <= KS_CRITICAL
