@@ -1,6 +1,8 @@
 """Command-line frontend: single moments, limits, tables, oracles, verification.
 
-Each runner computes its values once; :func:`_emit` writes them as text, JSON or CSV.
+Each runner computes its values once; :func:`_emit` writes them as text,
+JSON or CSV.  JSON is written in one pass by :func:`_json`, which writes
+the bytes ``json.dumps(..., indent=2)`` writes.
 :func:`main` reads a request with the parser of its command, built on
 first use: that parser is the one declaration of the command's arguments.
 A well-formed request, ``--option value`` pairs spelled in full, is read
@@ -16,15 +18,15 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import re
 import sys
 import tempfile
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii
 
 from .moments import (
     DECIMAL_CONTEXT,
@@ -39,6 +41,11 @@ from .verification import run_all_checks
 
 # A runner's text lines, JSON payload (inputs, result, optional exact) and CSV rows.
 Output = tuple[list[str], dict, list[dict]]
+
+# _decimal's two roundings: the exact quotient in DECIMAL_CONTEXT, then 15 digits.
+# Their methods change only the contexts' sticky flags, which nothing reads.
+_DECIMAL_15 = DECIMAL_CONTEXT.copy()
+_DECIMAL_15.prec = 15
 
 
 def format_exact(value: Fraction | ExactScalar) -> str:
@@ -60,16 +67,14 @@ def _decimal(value: float | Fraction | ExactScalar) -> str:
     if isinstance(value, float):
         return f"{value:.15g}"
     q = value.q if isinstance(value, ExactScalar) else value
-    with localcontext(DECIMAL_CONTEXT) as ctx:
-        d = Decimal(q.numerator) / q.denominator
-        if isinstance(value, ExactScalar):
-            d /= DECIMAL_PI
-        ctx.prec = 15
-        d = (+d).normalize()
-        exponent = d.adjusted()
-        if -4 <= exponent < 15:
-            return f"{d:f}"
-        return f"{d.scaleb(-exponent):f}e{exponent:+03d}"
+    d = DECIMAL_CONTEXT.divide(Decimal(q.numerator), q.denominator)
+    if isinstance(value, ExactScalar):
+        d = DECIMAL_CONTEXT.divide(d, DECIMAL_PI)
+    d = _DECIMAL_15.normalize(d)
+    exponent = d.adjusted()
+    if -4 <= exponent < 15:
+        return f"{d:f}"
+    return f"{_DECIMAL_15.scaleb(d, -exponent):f}e{exponent:+03d}"
 
 
 def _moment_row(n: int, two_h: int, k: int) -> dict:
@@ -185,13 +190,47 @@ def _run_verify(args: argparse.Namespace) -> Output:
     return text, {"inputs": {}, "result": {"suites": rows, "all_passed": all_passed}}, rows
 
 
+def _json(value, pad: str = "\n") -> str:
+    """What ``json.dumps(value, indent=2)`` returns, written in one pass.
+
+    ``pad`` is a newline and the indent of the line ``value`` starts on.
+    Python 3.10 and 3.11 serve ``indent`` only from json's pure-Python
+    encoder, which takes about twice as long.  Dict keys must be str; a
+    type that ``json`` does not encode raises TypeError, as it does there.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 _RUNNERS = {"moment": _run_moment, "limit": _run_limit, "table": _run_table,
             "mc": _run_mc, "quad": _run_quad, "verify": _run_verify}
 
 
 def _emit(args: argparse.Namespace, text: list[str], payload: dict, rows: list[dict]) -> None:
     if args.output_format == "json":
-        body = json.dumps({"command": args.command, **payload}, indent=2) + "\n"
+        body = _json({"command": args.command, **payload}) + "\n"
     elif args.output_format == "csv":
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))

@@ -13,16 +13,21 @@ recombination and its weights) are kept here as their references, and so
 is the one-shot Hankel condensation that the resumable engine replaced.
 The Monte Carlo stream's reference is Vigna's splitmix64.c in Python ints,
 stepped one word at a time where the package mixes a counter per word.
-Two appendix identities that no computed value depends on close the
-file; the coefficient tests check them.
+The CLI's 15-digit rounding is kept in the form that entered a fresh
+``localcontext`` per value, as the reference for the one that rounds
+through two module-level contexts.  Two appendix identities that no
+computed value depends on close the file; the coefficient tests check them.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, perm
 from operator import add, mul
 from typing import Iterator
+
+from cue_moments.moments import DECIMAL_CONTEXT, DECIMAL_PI, ExactScalar
 
 
 def ascending_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -372,6 +377,21 @@ def decimal_15g(q: Fraction, over_pi: bool = False) -> str:
         return f"{sign}0.{'0' * (-e - 1)}{digits}"
     whole, frac = digits[: e + 1].ljust(e + 1, "0"), digits[e + 1:]
     return f"{sign}{whole}{'.' if frac else ''}{frac}"
+
+
+def decimal_in_localcontext(value: Fraction | ExactScalar) -> str:
+    """``cli._decimal`` of an exact value as it was first written: every step in one fresh ``localcontext``."""
+    q = value.q if isinstance(value, ExactScalar) else value
+    with localcontext(DECIMAL_CONTEXT) as ctx:
+        d = Decimal(q.numerator) / q.denominator
+        if isinstance(value, ExactScalar):
+            d /= DECIMAL_PI
+        ctx.prec = 15
+        d = (+d).normalize()
+        exponent = d.adjusted()
+        if -4 <= exponent < 15:
+            return f"{d:f}"
+        return f"{d.scaleb(-exponent):f}e{exponent:+03d}"
 
 
 class SplitMix64:

@@ -2,8 +2,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,10 +15,10 @@ import pytest
 
 import cue_moments
 from cue_moments import moments, oracles
-from cue_moments.cli import _command_parser, _decimal, _read, build_parser, format_exact, main
-from cue_moments.moments import ExactScalar, MomentOrder, exact_moment, keating_snaith
+from cue_moments.cli import _command_parser, _decimal, _json, _read, build_parser, format_exact, main
+from cue_moments.moments import DECIMAL_PI, ExactScalar, MomentOrder, exact_moment, keating_snaith
 
-from _brute import decimal_15g, decimal_digits
+from _brute import decimal_15g, decimal_digits, decimal_in_localcontext
 from make_golden import COMMANDS, FORMATS
 
 
@@ -66,6 +68,26 @@ class TestFormatting:
                             ((4, 7, 4), "75728.6291735738"), ((19, 8, 4), "4.86214584532719e+16"),
                             ((7, 8, 4), "651389684.257812")]:
             assert _decimal(exact_moment(*cell)) == shown, cell
+
+    def test_decimal_rounds_as_in_a_fresh_localcontext(self):
+        rng = random.Random(2901)
+
+        def draw(bits):
+            return rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, bits))
+
+        sample = [Fraction(draw(400), draw(400) or 1) for _ in range(5000)]
+        # Values near 10^-5, 10^-4, 10^14 and 10^15, where the layout switches between
+        # fixed and exponent form, on either side of a rounding that carries.
+        for e in (-5, -4, 14, 15):
+            for x in (Fraction(10) ** e, 3 * Fraction(10) ** e,
+                      Fraction(10) ** e * (1 - Fraction(5, 10 ** 16)), Fraction(10) ** e * (1 - Fraction(5, 10 ** 15))):
+                sample += [x, -x, x * Fraction(DECIMAL_PI)]
+        sample.append(Fraction(0))
+        for q in sample:
+            assert _decimal(q) == decimal_in_localcontext(q), q
+            assert _decimal(ExactScalar(q)) == decimal_in_localcontext(ExactScalar(q)), q
+        layouts = {decimal_in_localcontext(q).partition("e")[2] for q in sample}
+        assert {"-05", "", "+15"} <= layouts
 
 
 class TestMomentCommand:
@@ -578,6 +600,35 @@ REQUEST_JSON = """\
   "exact": "50908/(729*pi)"
 }
 """
+
+
+JSON_VALUES = [
+    {"inputs": {"n": [1, 2], "tol": 1e-08}, "result": {"rows": [{"k": 1}, {}], "all_passed": True}, "exact": "2/pi"},
+    {}, [], [[], {}, [1, [2, {"a": []}]]], (1, "two", (3.5, None)),
+    True, False, None,
+    0, -7, 2 ** 64,
+    -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf,
+    '"', "\\", "\n", "\x00", "≈", "\u2028", "\U0001d70b", 'a "≈" \\ b\n\x00\u2028\U0001d70b',
+]
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("value", JSON_VALUES, ids=repr)
+    def test_the_writer_writes_what_json_dumps_writes(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), {1, 2}])
+    def test_a_type_json_does_not_encode_raises(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json(value)
+
+    def test_every_exact_table_request_prints_what_json_dumps_prints(self, capsys):
+        for argv in EXACT_TABLE:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 class TestRequestReader:
