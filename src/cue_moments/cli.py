@@ -1,8 +1,10 @@
 """Command-line frontend: single moments, limits, tables, oracles, verification.
 
 Each runner computes its values once; :func:`_emit` writes them as text,
-JSON or CSV.  JSON is written in one pass by :func:`_json`, which writes
-the bytes ``json.dumps(..., indent=2)`` writes.
+JSON or CSV.  An exact value's ``≈`` digits are :func:`_decimal`'s 15-digit
+rounding of :func:`~cue_moments.moments.to_decimal`, the quotient its float
+also rounds.  JSON is written in one pass by :func:`_json`, which writes
+the bytes ``json.dumps(..., indent=2)`` writes for every payload.
 :func:`main` reads a request with the parser of its command, built on
 first use: that parser is the one declaration of the command's arguments.
 A well-formed request, ``--option value`` pairs spelled in full, is read
@@ -28,22 +30,15 @@ from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring_ascii
 
-from .moments import (
-    DECIMAL_CONTEXT,
-    DECIMAL_PI,
-    ExactScalar,
-    MomentOrder,
-    exact_moment,
-    limit_moment_half_h,
-)
+from .moments import DECIMAL_CONTEXT, ExactScalar, MomentOrder, exact_moment, limit_moment_half_h, to_decimal
 from .oracles import QUAD_N_MAX, closed_form_moment_integral, mc_moment, quad_moment_integral
 from .verification import run_all_checks
 
 # A runner's text lines, JSON payload (inputs, result, optional exact) and CSV rows.
 Output = tuple[list[str], dict, list[dict]]
 
-# _decimal's two roundings: the exact quotient in DECIMAL_CONTEXT, then 15 digits.
-# Their methods change only the contexts' sticky flags, which nothing reads.
+# _decimal's second rounding, to 15 digits, after to_decimal's quotient.  Its methods
+# change only the context's sticky flags, which nothing reads.
 _DECIMAL_15 = DECIMAL_CONTEXT.copy()
 _DECIMAL_15.prec = 15
 
@@ -61,16 +56,13 @@ def format_exact(value: Fraction | ExactScalar) -> str:
 def _decimal(value: float | Fraction | ExactScalar) -> str:
     """15 significant digits, laid out as ``f"{x:.15g}"`` lays out a float.
 
-    An exact value is rounded once, half-even, from its exact rational (over
-    a 50-digit pi for q/pi), so no digit depends on the range of floats.
+    An exact value's digits are :func:`~cue_moments.moments.to_decimal`'s
+    40-digit quotient, the one its float rounds, rounded half-even to 15, so
+    no digit depends on the range of floats.
     """
     if isinstance(value, float):
         return f"{value:.15g}"
-    q = value.q if isinstance(value, ExactScalar) else value
-    d = DECIMAL_CONTEXT.divide(Decimal(q.numerator), q.denominator)
-    if isinstance(value, ExactScalar):
-        d = DECIMAL_CONTEXT.divide(d, DECIMAL_PI)
-    d = _DECIMAL_15.normalize(d)
+    d = _DECIMAL_15.normalize(to_decimal(value))
     exponent = d.adjusted()
     if -4 <= exponent < 15:
         return f"{d:f}"
@@ -195,33 +187,29 @@ def _json(value, pad: str = "\n") -> str:
 
     ``pad`` is a newline and the indent of the line ``value`` starts on.
     Python 3.10 and 3.11 serve ``indent`` only from json's pure-Python
-    encoder, which takes about twice as long.  Dict keys must be str; a
-    type that ``json`` does not encode raises TypeError, as it does there.
+    encoder, which takes about twice as long.  It writes only what a payload
+    holds: str, bool, int, finite float, list, and dict with str keys.  The
+    runners check every float input before they build a payload, so any
+    other value, None, a tuple or a non-finite float included, raises TypeError.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, float) and math.isfinite(value):
         return float.__repr__(value)
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         items = [_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
     if isinstance(value, dict):
         items = [encode_basestring_ascii(key) + ": " + _json(item, inner) for key, item in value.items()]
         return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    raise TypeError(f"{value!r} of type {type(value).__name__} is not a payload value")
 
 
 _RUNNERS = {"moment": _run_moment, "limit": _run_limit, "table": _run_table,

@@ -6,6 +6,9 @@ polynomial at angle 0.  Even two_h gives an exact rational; odd two_h
 gives an exact rational multiple of 1/pi, carried symbolically by
 :class:`ExactScalar`.  The large-n limits (after dividing by n^(k^2 + two_h))
 are exact rationals for even two_h and truncated series for odd two_h.
+An exact value leaves exact arithmetic in one place, :func:`to_decimal`,
+its 40-digit quotient: the CLI's printed digits, ``float()`` of an
+:class:`ExactScalar` and the quadrature's closed form all start from it.
 
 Every value is one recombination, :func:`_recombine` over a prefix of an
 engine vector: a prefactor depending on two_h times the zeroth moment
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
@@ -75,22 +78,27 @@ class ExactScalar:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", Fraction(self.q))
 
-    def to_float(self) -> float:
-        """The float nearest q/pi, formed in ``DECIMAL_CONTEXT`` and rounded to a float once.
-
-        Raises OverflowError when that float would be infinite.
-        """
-        with localcontext(DECIMAL_CONTEXT):
-            value = float(Decimal(self.q.numerator) / self.q.denominator / DECIMAL_PI)
+    def __float__(self) -> float:
+        """The float nearest :func:`to_decimal` of q/pi, rounded once; OverflowError if that is infinite."""
+        value = float(to_decimal(self))
         if math.isinf(value):
             raise OverflowError("q/pi is beyond the float range")
         return value
 
-    __float__ = to_float
-
     def __str__(self) -> str:
         num, den = Decimal(self.q.numerator), self.q.denominator
         return f"{num}/pi" if den == 1 else f"{num}/({Decimal(den)}*pi)"
+
+
+def to_decimal(value: Fraction | ExactScalar) -> Decimal:
+    """The one quotient of an exact value in ``DECIMAL_CONTEXT``: numerator over denominator, over pi for q/pi.
+
+    Each division rounds half-even to 40 digits.  The printed digits, every
+    float of an exact value and the closed-form integral all start from it.
+    """
+    if isinstance(value, ExactScalar):
+        return DECIMAL_CONTEXT.divide(to_decimal(value.q), DECIMAL_PI)
+    return DECIMAL_CONTEXT.divide(Decimal(value.numerator), value.denominator)
 
 
 @dataclass(frozen=True)
@@ -264,5 +272,5 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     if tail_bound >= abs(value):
         raise ArithmeticError(
             f"the tail bound after {p - two_h} terms does not separate the limit from zero: its sign is uncertain")
-    return LimitResult(value=ExactScalar(value).to_float(),
-                       tail_bound=max(ExactScalar(tail_bound).to_float(), math.ulp(0.0)), terms_used=p - two_h)
+    return LimitResult(value=float(ExactScalar(value)),
+                       tail_bound=max(float(ExactScalar(tail_bound)), math.ulp(0.0)), terms_used=p - two_h)

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .moments import DECIMAL_CONTEXT, DECIMAL_PI, MomentOrder
+from .moments import DECIMAL_CONTEXT, DECIMAL_PI, MomentOrder, to_decimal
 from .specfun import moment_gen_engine
 
 # Trials drawn, reduced and folded into the running mean and variance at a
@@ -359,8 +359,9 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     The reduced polynomial is :func:`~cue_moments.specfun.moment_gen_engine`
     at the exact rational |zeta|: the zeroth moment times sum_p c_p |zeta|^p
     over the production engine's coefficients, the ones every exact moment
-    uses.  Its product with pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) is formed in
-    a 40-digit decimal context where nothing overflows or underflows, and
+    uses.  Its product with pi^n n! 2^(-(n+2k-1)n) e^(-n|zeta|) starts from
+    :func:`~cue_moments.moments.to_decimal`'s quotient of it and is formed in
+    the same 40-digit context, where nothing overflows or underflows, and
     rounded to a float once.
     """
     if not math.isfinite(zeta):
@@ -368,5 +369,5 @@ def closed_form_moment_integral(k: int, zeta: float, n: int) -> float:
     z = abs(zeta)
     exact = moment_gen_engine(k, n, Fraction(z))
     with localcontext(DECIMAL_CONTEXT):
-        return float(Decimal(exact.numerator) / exact.denominator * DECIMAL_PI ** n * math.factorial(n)
+        return float(to_decimal(exact) * DECIMAL_PI ** n * math.factorial(n)
                      * (-n * Decimal(z)).exp() / Decimal(2) ** ((n + 2 * k - 1) * n))

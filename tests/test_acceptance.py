@@ -198,8 +198,8 @@ def test_criterion_8_identity_suites():
 
 def test_criterion_9_scaling():
     limit = limit_moment_half_h(1, 1, 1e-12).value
-    gap_10 = abs(moment_half_h(10, 1, 1).to_float() / 10 ** 2 - limit)
-    gap_80 = abs(moment_half_h(80, 1, 1).to_float() / 80 ** 2 - limit)
+    gap_10 = abs(float(moment_half_h(10, 1, 1)) / 10 ** 2 - limit)
+    gap_80 = abs(float(moment_half_h(80, 1, 1)) / 80 ** 2 - limit)
     report(
         9,
         gap_80 < gap_10,

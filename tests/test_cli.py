@@ -408,11 +408,14 @@ class TestConfigHandling:
             (["frobnicate"], (2, "", error + "argument command: invalid choice: 'frobnicate'")),
             (["--format", "json", *moment], (2, "", error + "argument command: invalid choice: 'json'")),
             (["--format=json", "moment"], (2, "", error + "unrecognized arguments: --format=json\n")),
-            (["--", *moment], (2, "", error + "argument command: invalid choice: '--'")),
         ]:
             code, out, err = run_cli(capsys, *argv)
             # Python releases word the list of choices after an invalid choice differently.
             assert (code, out, err.partition(" (choose from ")[0]) == want, argv
+        # Releases differ on a "--" before the command: 3.11.7 finds the invalid choice '--',
+        # 3.13.13 the unrecognized arguments after "moment".  Each is a top-level usage error.
+        code, out, err = run_cli(capsys, "--", *moment)
+        assert (code, out, err.startswith(error)) == (2, "", True)
         assert _command_parser.cache_info().misses == 0
 
     def test_a_bare_command_from_the_top_level_parser_reads_no_arguments(self, capsys, monkeypatch):
@@ -604,12 +607,14 @@ REQUEST_JSON = """\
 
 JSON_VALUES = [
     {"inputs": {"n": [1, 2], "tol": 1e-08}, "result": {"rows": [{"k": 1}, {}], "all_passed": True}, "exact": "2/pi"},
-    {}, [], [[], {}, [1, [2, {"a": []}]]], (1, "two", (3.5, None)),
-    True, False, None,
+    {}, [], [[], {}, [1, [2, {"a": []}]]],
+    True, False,
     0, -7, 2 ** 64,
-    -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf,
+    -0.0, 5e-324, 1e308,
     '"', "\\", "\n", "\x00", "≈", "\u2028", "\U0001d70b", 'a "≈" \\ b\n\x00\u2028\U0001d70b',
 ]
+# Values json.dumps encodes but no payload holds: the runners check every float input first.
+NOT_PAYLOAD_VALUES = [(1, "two", (3.5, None)), None, math.nan, math.inf, -math.inf]
 
 
 class TestJsonWriter:
@@ -621,6 +626,12 @@ class TestJsonWriter:
     def test_a_type_json_does_not_encode_raises(self, value):
         with pytest.raises(TypeError):
             json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _json(value)
+
+    @pytest.mark.parametrize("value", NOT_PAYLOAD_VALUES, ids=repr)
+    def test_a_value_no_payload_holds_raises(self, value):
+        json.dumps(value, indent=2)
         with pytest.raises(TypeError):
             _json(value)
 

@@ -277,8 +277,8 @@ class TestRecombination:
                     # A fresh limit state condenses exactly the numerators the stopping rule reads.
                     assert len(_condensation(k, None).levels[k]) == two_h + result.terms_used + 1
                     assert result.terms_used == terms
-                    assert result.value == ExactScalar(value).to_float()
-                    assert result.tail_bound == ExactScalar(tail).to_float()
+                    assert result.value == float(ExactScalar(value))
+                    assert result.tail_bound == float(ExactScalar(tail))
 
     def test_numerators_are_integers_with_a_positive_lead(self):
         for k in range(1, 7):

@@ -51,24 +51,24 @@ class TestExactScalar:
         assert str(ExactScalar(Fraction(-5, 3))) == "-5/(3*pi)"
 
     def test_to_float(self):
-        assert ExactScalar(Fraction(1, 2)).to_float() == nearest_float_over_pi(Fraction(1, 2))
-        assert ExactScalar(Fraction(2)).to_float() == pytest.approx(2 / math.pi, rel=1e-15)
+        assert float(ExactScalar(Fraction(1, 2))) == nearest_float_over_pi(Fraction(1, 2))
+        assert float(ExactScalar(Fraction(2))) == pytest.approx(2 / math.pi, rel=1e-15)
         # float(q) / pi rounds twice and misses the nearest float here
         q = moment_half_h(2, 1, 1).q
-        assert float(q) / math.pi != nearest_float_over_pi(q) == ExactScalar(q).to_float()
+        assert float(q) / math.pi != nearest_float_over_pi(q) == float(ExactScalar(q))
         for n in range(1, 13):
             for k in range(1, 5):
                 for two_h in range(1, 2 * k + 1, 2):
                     q = moment_half_h(n, two_h, k).q
-                    assert ExactScalar(q).to_float() == nearest_float_over_pi(q)
+                    assert float(ExactScalar(q)) == nearest_float_over_pi(q)
         for q in (Fraction(1, 10 ** 320), Fraction(-3, 7 * 10 ** 310), Fraction(int(sys.float_info.max) * 3)):
-            assert ExactScalar(q).to_float() == nearest_float_over_pi(q)
+            assert float(ExactScalar(q)) == nearest_float_over_pi(q)
 
     def test_to_float_beyond_the_float_range_raises(self):
-        assert ExactScalar(Fraction(1, 10 ** 400)).to_float() == 0.0
+        assert float(ExactScalar(Fraction(1, 10 ** 400))) == 0.0
         for q in (Fraction(10 ** 400), Fraction(-(10 ** 309) * 4)):
             with pytest.raises(OverflowError):
-                ExactScalar(q).to_float()
+                float(ExactScalar(q))
 
     def test_digits_beyond_the_int_to_str_limit_leave_the_limit_alone(self, monkeypatch):
         def refuse(limit):
@@ -201,7 +201,7 @@ class TestLimits:
         for two_h, k, tol in cells + [(11, 6, 1e-12)]:
             result = limit_moment_half_h(two_h, k, tol)
             coeffs = coeff_vector(k, None, 2 * (two_h + result.terms_used))
-            reference = ExactScalar(fraction_recombine(two_h, 1, limit_moment_zero(k), coeffs)).to_float()
+            reference = float(ExactScalar(fraction_recombine(two_h, 1, limit_moment_zero(k), coeffs)))
             assert abs(result.value - reference) <= result.tail_bound <= tol, (two_h, k, tol)
 
     def test_a_tail_bound_below_the_least_float_is_that_float_not_zero(self):
@@ -256,6 +256,6 @@ class TestLimits:
 class TestScaling:
     def test_half_moment_converges_at_one_over_n(self):
         limit = limit_moment_half_h(1, 1, 1e-12).value
-        gap_10 = abs(moment_half_h(10, 1, 1).to_float() / 10 ** 2 - limit)
-        gap_80 = abs(moment_half_h(80, 1, 1).to_float() / 80 ** 2 - limit)
+        gap_10 = abs(float(moment_half_h(10, 1, 1)) / 10 ** 2 - limit)
+        gap_80 = abs(float(moment_half_h(80, 1, 1)) / 80 ** 2 - limit)
         assert gap_80 < gap_10

@@ -5,7 +5,7 @@ import io
 import json
 import sys
 
-from cue_moments import coefficients, specfun
+from cue_moments import coefficients, moments, specfun
 from cue_moments.cli import main
 from cue_moments.verification import run_all_checks
 
@@ -64,6 +64,20 @@ def test_a_wronskian_with_parameter_k_in_every_column_fails_only_the_route_ident
     determinant = specfun._laguerre_det
     monkeypatch.setattr(specfun, "_laguerre_det", lambda n, alphas, t: determinant(n, [alphas[0]] * len(alphas), t))
     assert {r.name for r in run_all_checks() if not r.passed} == {"three-route-identity"}
+
+
+def test_a_quotient_times_pi_fails_verify_through_the_floats_it_compares(monkeypatch):
+    # The floats verify compares come from the quotient that prints the digits.
+    to_decimal = moments.to_decimal
+
+    def times_pi(value):
+        if isinstance(value, moments.ExactScalar):
+            return moments.DECIMAL_CONTEXT.multiply(to_decimal(value.q), moments.DECIMAL_PI)
+        return to_decimal(value)
+
+    monkeypatch.setattr(moments, "to_decimal", times_pi)
+    assert {r.name for r in run_all_checks() if not r.passed} == {"half-limit-tail-bound"}
+    assert main(["verify"]) == 1
 
 
 def test_a_raising_engine_fails_its_suites_and_the_rest_still_run(monkeypatch, capsys):
