@@ -5,13 +5,13 @@ JSON or CSV.  An exact value's ``≈`` digits are :func:`_decimal`'s 15-digit
 rounding of :func:`~cue_moments.moments.to_decimal`, the quotient its float
 also rounds.  JSON is written in one pass by :func:`_json`, which writes
 the bytes ``json.dumps(..., indent=2)`` writes for every payload.
-:func:`main` reads a request with the parser of its command, built on
-first use: that parser is the one declaration of the command's arguments.
-A well-formed request, ``--option value`` pairs spelled in full, is read
-from that parser's action table without an argparse pass; argparse parses
-every other argv (help, abbreviations, ``--opt=value``, negative numbers,
-usage errors), so what it prints is unchanged.  The top-level parser only
-names the commands, and serves only help and usage errors.
+The command table, ``_COMMANDS``, declares each command once: summary,
+runner and options.  :func:`main` reads a request with its command's parser,
+built from the table on first use; a well-formed request, ``--option value``
+pairs spelled in full, is read from that parser's ``Action`` objects without
+an argparse pass, and argparse parses every other argv (help, abbreviations,
+``--opt=value``, negative numbers, usage errors), so what it prints is
+unchanged.  The top-level parser only names the commands, for help and usage errors.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import io
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
 from decimal import Decimal
@@ -34,7 +35,7 @@ from .moments import DECIMAL_CONTEXT, ExactScalar, MomentOrder, exact_moment, li
 from .oracles import QUAD_N_MAX, closed_form_moment_integral, mc_moment, quad_moment_integral
 from .verification import run_all_checks
 
-# A runner's text lines, JSON payload (inputs, result, optional exact) and CSV rows.
+# A runner's text lines, JSON payload (result, optional exact) and CSV rows.
 Output = tuple[list[str], dict, list[dict]]
 
 # _decimal's second rounding, to 15 digits, after to_decimal's quotient.  Its methods
@@ -81,8 +82,7 @@ def _moment_line(row: dict) -> str:
 
 def _run_moment(args: argparse.Namespace) -> Output:
     row = _moment_row(args.n, args.two_h, args.k)
-    inputs = {"n": args.n, "two_h": args.two_h, "k": args.k}
-    payload = {"inputs": inputs, "result": {"decimal": row["value"]}, "exact": row["exact"]}
+    payload = {"result": {"decimal": row["value"]}, "exact": row["exact"]}
     return ["moment " + _moment_line(row)], payload, [row]
 
 
@@ -100,7 +100,7 @@ def _run_limit(args: argparse.Namespace) -> Output:
         value, tail_bound, terms = _decimal(res.value), res.tail_bound, res.terms_used
         cell = f"{value} (tail_bound {tail_bound:.3g}, {terms} tail terms)"
     result = {"value": value, "tail_bound": repr(tail_bound), "terms_used": terms}
-    payload = {"inputs": {"two_h": two_h, "k": k, "tol": args.tol}, "result": result}
+    payload = {"result": result}
     if exact_str:
         payload["exact"] = exact_str
     row = {"two_h": two_h, "k": k, "exact": exact_str, **result}
@@ -121,8 +121,7 @@ def _run_table(args: argparse.Namespace) -> Output:
             rows.append({"n": n, "two_h": two_h, "k": k, "exact": "inadmissible", "value": ""})
         else:
             rows.append(_moment_row(n, two_h, k))
-    inputs = {"n": list(args.n), "two_h": list(args.two_h), "k": list(args.k)}
-    return [_moment_line(r) for r in rows], {"inputs": inputs, "result": {"rows": rows}}, rows
+    return [_moment_line(r) for r in rows], {"result": {"rows": rows}}, rows
 
 
 def _run_mc(args: argparse.Namespace) -> Output:
@@ -135,7 +134,6 @@ def _run_mc(args: argparse.Namespace) -> Output:
     est = mc_moment(args.n, args.two_h, args.k, args.trials, args.seed)
     exact_str = format_exact(exact)
     z = (est.mean - exact_float) / est.stderr if est.stderr > 0 else 0.0
-    inputs = {"n": args.n, "two_h": args.two_h, "k": args.k, "trials": args.trials, "seed": args.seed}
     result = {"mean": repr(est.mean), "stderr": repr(est.stderr), "trials": est.trials,
               "seed": est.seed, "redraws": est.redraws, "z_score": _decimal(z)}
     text = [
@@ -143,23 +141,22 @@ def _run_mc(args: argparse.Namespace) -> Output:
         f"(trials {est.trials}, seed {est.seed}, redraws {est.redraws})",
         f"exact {exact_str} ≈ {_decimal(exact)}, z-score {z:+.3f}",
     ]
-    row = dict(inputs, mean=result["mean"], stderr=result["stderr"], redraws=est.redraws,
+    row = dict(_inputs(args), mean=result["mean"], stderr=result["stderr"], redraws=est.redraws,
                exact=exact_str, z_score=result["z_score"])
-    return text, {"inputs": inputs, "result": result, "exact": exact_str}, [row]
+    return text, {"result": result, "exact": exact_str}, [row]
 
 
 def _run_quad(args: argparse.Namespace) -> Output:
     value = quad_moment_integral(args.k, args.zeta, args.n, args.tol)
     closed = closed_form_moment_integral(args.k, args.zeta, args.n)
     diff = f"{abs(value - closed):.3g}"
-    inputs = {"k": args.k, "zeta": args.zeta, "n": args.n, "tol": args.tol}
     result = {"integral": repr(value), "closed_form": repr(closed), "abs_diff": diff}
     # tol bounds the absolute error, so no digit of an integral within tol of 0 is certified.
     shown = (f"{value:.3g} (|integral| <= tol {args.tol:g}: no digit certified)"
              if abs(value) <= args.tol else f"{value:.12g}")
     text = [f"quad k={args.k} zeta={args.zeta} n={args.n}: integral {shown}",
             f"closed form {closed:.12g}, |diff| {diff}"]
-    return text, {"inputs": inputs, "result": result}, [dict(inputs, **result)]
+    return text, {"result": result}, [dict(_inputs(args), **result)]
 
 
 def _run_verify(args: argparse.Namespace) -> Output:
@@ -179,7 +176,7 @@ def _run_verify(args: argparse.Namespace) -> Output:
     # Only a suite that raised adds the column, so a passing run prints what it always has.
     if any(r.error is not None for r in results):
         rows = [dict(row, error=r.error or "") for row, r in zip(rows, results)]
-    return text, {"inputs": {}, "result": {"suites": rows, "all_passed": all_passed}}, rows
+    return text, {"result": {"suites": rows, "all_passed": all_passed}}, rows
 
 
 def _json(value, pad: str = "\n") -> str:
@@ -212,13 +209,48 @@ def _json(value, pad: str = "\n") -> str:
     raise TypeError(f"{value!r} of type {type(value).__name__} is not a payload value")
 
 
-_RUNNERS = {"moment": _run_moment, "limit": _run_limit, "table": _run_table,
-            "mc": _run_mc, "quad": _run_quad, "verify": _run_verify}
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(",") if part != ""]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+_INT = {"type": int, "required": True}
+_INT_LIST = {"type": _int_list, "required": True, "metavar": "LIST"}
+
+# The one declaration of every command: its summary, its runner, its options (flag ->
+# add_argument keywords; each parser adds the output options after them), and the
+# pattern of the values with a leading minus that its options read, or None.
+_COMMANDS = {
+    "moment": ("exact moment at finite matrix size", _run_moment, {
+        "--n": _INT, "--two-h": {**_INT, "help": "2h (h may be half-integer)"}, "--k": _INT}, None),
+    "limit": ("scaled large-size limit of a moment", _run_limit, {
+        "--two-h": _INT, "--k": _INT, "--tol": {"type": float, "required": True}}, None),
+    # A list with a leading minus ("-1,0") is a value, so it reaches the size check.
+    "table": ("moments over an (n, 2h, k) grid", _run_table,
+              {"--n": _INT_LIST, "--two-h": _INT_LIST, "--k": _INT_LIST}, re.compile(r"^-\d[\d,-]*$")),
+    "mc": ("Monte Carlo estimate over Haar-random unitaries", _run_mc, {
+        "--n": _INT, "--two-h": _INT, "--k": _INT, "--trials": _INT, "--seed": {"type": int, "default": 0}}, None),
+    # Negative floats in any syntax float() reads ("-1e-3", "-inf") are values, so they reach the checks.
+    "quad": (f"direct quadrature of the defining integral (n <= {QUAD_N_MAX})", _run_quad, {
+        "--k": _INT, "--zeta": {"type": float, "default": 1.0}, "--n": _INT, "--tol": {"type": float, "default": 1e-8}},
+        re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)),
+    "verify": ("run every exact identity suite", _run_verify, {}, None),
+}
+_OUTPUT_OPTIONS = {"--format": {"choices": ("text", "json", "csv"), "default": "text", "dest": "output_format"},
+                   "--out": {"dest": "output_path", "default": None, "metavar": "PATH"}}
+
+
+def _inputs(args: argparse.Namespace) -> dict:
+    """The JSON ``inputs`` of a request: its command's own options, by dest, in declared order."""
+    actions = _command_parser(args.command)[1]
+    return {action.dest: getattr(args, action.dest) for flag, action in actions.items() if flag not in _OUTPUT_OPTIONS}
 
 
 def _emit(args: argparse.Namespace, text: list[str], payload: dict, rows: list[dict]) -> None:
     if args.output_format == "json":
-        body = _json({"command": args.command, **payload}) + "\n"
+        body = _json({"command": args.command, "inputs": _inputs(args), **payload}) + "\n"
     elif args.output_format == "csv":
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
@@ -230,11 +262,19 @@ def _emit(args: argparse.Namespace, text: list[str], payload: dict, rows: list[d
     if args.output_path is None:
         sys.stdout.write(body)
         return
+    # The file gets the mode open(path, "w") leaves: an existing one keeps its own,
+    # a new one gets 0o666 less the umask, which os can read only by setting it.
+    try:
+        mode = stat.S_IMODE(os.stat(args.output_path).st_mode)
+    except FileNotFoundError:
+        os.umask(umask := os.umask(0o777))
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(args.output_path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".cue-moments-")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(body)
+        os.chmod(tmp_path, mode)
         os.replace(tmp_path, args.output_path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -245,7 +285,7 @@ def _emit(args: argparse.Namespace, text: list[str], payload: dict, rows: list[d
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit status."""
     try:
-        text, payload, rows = _RUNNERS[args.command](args)
+        text, payload, rows = _COMMANDS[args.command][1](args)
         _emit(args, text, payload, rows)
     except (ValueError, RuntimeError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -257,48 +297,16 @@ def run(args: argparse.Namespace) -> int:
     return 0 if payload["result"].get("all_passed", True) else 1
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-
-
 @functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one command, the one declaration of its arguments; built on first use."""
-    p = argparse.ArgumentParser(prog=f"cue-moments {command}")
-    p.set_defaults(command=command)
-    if command == "moment":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--two-h", type=int, required=True, dest="two_h", help="2h (h may be half-integer)")
-        p.add_argument("--k", type=int, required=True)
-    elif command == "limit":
-        p.add_argument("--two-h", type=int, required=True, dest="two_h")
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--tol", type=float, required=True)
-    elif command == "table":
-        p.add_argument("--n", type=_int_list, required=True, metavar="LIST")
-        p.add_argument("--two-h", type=_int_list, required=True, dest="two_h", metavar="LIST")
-        p.add_argument("--k", type=_int_list, required=True, metavar="LIST")
-        # A list with a leading minus ("-1,0") is a value, so it reaches the size check.
-        p._negative_number_matcher = re.compile(r"^-\d[\d,-]*$")
-    elif command == "mc":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--two-h", type=int, required=True, dest="two_h")
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--trials", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-    elif command == "quad":
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--zeta", type=float, default=1.0)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--tol", type=float, default=1e-8)
-        # Negative floats in any syntax float() reads ("-1e-3", "-inf") are values, so they reach the checks.
-        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text", dest="output_format")
-    p.add_argument("--out", dest="output_path", default=None, metavar="PATH")
-    return p
+def _command_parser(command: str) -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The parser of one command, built from its table entry on first use, and its options' actions by flag."""
+    _, _, options, negative_values = _COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"cue-moments {command}")
+    parser.set_defaults(command=command)
+    if negative_values is not None:
+        # No public argparse API lets an option read a value with a leading minus.
+        parser._negative_number_matcher = negative_values
+    return parser, {flag: parser.add_argument(flag, **kwargs) for flag, kwargs in (options | _OUTPUT_OPTIONS).items()}
 
 
 @functools.cache
@@ -318,71 +326,61 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint moments of CUE characteristic polynomials and their derivative, exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, summary in (
-        ("moment", "exact moment at finite matrix size"),
-        ("limit", "scaled large-size limit of a moment"),
-        ("table", "moments over an (n, 2h, k) grid"),
-        ("mc", "Monte Carlo estimate over Haar-random unitaries"),
-        ("quad", f"direct quadrature of the defining integral (n <= {QUAD_N_MAX})"),
-        ("verify", "run every exact identity suite"),
-    ):
+    for command, (summary, *_) in _COMMANDS.items():
         sub.add_parser(command, help=summary)
     return parser
 
 
-def _read(parser: argparse.ArgumentParser, tokens: list[str]) -> argparse.Namespace | None:
-    """What ``parser.parse_args(tokens)`` returns for ``--option value`` pairs, or None to leave it to argparse.
+def _read(command: str, tokens: list[str]) -> argparse.Namespace | None:
+    """What the command parser's ``parse_args(tokens)`` returns for ``--option value`` pairs, or None.
 
-    Each option must be spelled in full and store one value that does not
-    start with "-"; every value must convert with its action's ``type`` and
-    lie in its ``choices``, and every required option must be given.  As in
-    argparse, the last of a repeated option wins, and the declared defaults,
-    then the parser's own (``command``), fill what no option set; no option
-    declares ``nargs`` or a string default for its ``type`` to convert.
-    Anything else (help, an abbreviation, ``--opt=value``, a negative number,
-    a usage error) returns None, so argparse prints what it always has.  The
-    reader reads the parser's action table; the tests check it against ``parse_args``.
+    Each option must be one the table declares, spelled in full; its value
+    must not start with "-", must convert with the action's ``type`` and lie
+    in its ``choices``; every required option must be given.  As in
+    argparse, the last of a repeated option wins and the declared defaults
+    fill the rest; no option declares ``nargs`` or a string default for its
+    ``type`` to convert.  Anything else (help, an abbreviation, ``--opt=value``,
+    a negative number, a usage error) returns None, so argparse prints what it
+    always has.  Only documented ``Action`` attributes are read; the tests check them.
     """
+    actions = _command_parser(command)[1]
     if len(tokens) % 2:
         return None
-    given, values = {}, {}
+    values = {"command": command}
     try:
         for option, text in zip(tokens[::2], tokens[1::2]):
-            action = parser._option_string_actions.get(option)
-            if type(action) is not argparse._StoreAction or text[:1] == "-":
+            action = actions.get(option)
+            if action is None or text[:1] == "-":
                 return None
-            given[action] = value = (action.type or str)(text)
+            values[action.dest] = value = (action.type or str)(text)
             if action.choices is not None and value not in action.choices:
                 return None
-        for action in parser._actions:
-            if action in given:
-                values[action.dest] = given[action]
-            elif action.required:
-                return None
-            elif action.default is not argparse.SUPPRESS:
-                values[action.dest] = action.default
     except (argparse.ArgumentTypeError, ValueError):
         return None
-    return argparse.Namespace(**{**parser._defaults, **values})
+    for action in actions.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Read ``argv`` (default ``sys.argv[1:]``) once, run its command, return the exit status.
 
     A well-formed request, a command name and then ``--option value``
-    pairs, is read by :func:`_read` from its command's parser; argparse
-    parses only what the reader declines.
+    pairs, is read by :func:`_read` from its command's declared options;
+    argparse parses only what the reader declines.
     """
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _RUNNERS:
-        parser = _command_parser(argv[0])
-        args = _read(parser, argv[1:])
-        return run(parser.parse_args(argv[1:]) if args is None else args)
+    if argv and argv[0] in _COMMANDS:
+        args = _read(argv[0], argv[1:])
+        return run(_command_parser(argv[0])[0].parse_args(argv[1:]) if args is None else args)
     # Help or a usage error, which exit.  Only an argparse that drops a "--" before the
     # command returns, with a bare command (3.13.13's does; 3.10.13, 3.11.7, 3.12.1 and
     # 3.13.0 do not): it runs as if it came alone.
     command = build_parser().parse_args(argv).command
-    return run(_command_parser(command).parse_args([]))
+    return run(_command_parser(command)[0].parse_args([]))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +17,7 @@ import pytest
 
 import cue_moments
 from cue_moments import moments, oracles
-from cue_moments.cli import _command_parser, _decimal, _json, _read, build_parser, format_exact, main
+from cue_moments.cli import _COMMANDS, _command_parser, _decimal, _json, _read, build_parser, format_exact, main
 from cue_moments.moments import DECIMAL_PI, ExactScalar, MomentOrder, exact_moment, keating_snaith
 
 from _brute import decimal_15g, decimal_digits, decimal_in_localcontext
@@ -653,8 +655,8 @@ class TestRequestReader:
         golden = [[*argv, "--format", output_format] for argv in COMMANDS for output_format in FORMATS]
         declined = []
         for argv in golden + EXACT_TABLE:
-            parser = _command_parser(argv[0])
-            read = _read(parser, argv[1:])
+            parser = _command_parser(argv[0])[0]
+            read = _read(argv[0], argv[1:])
             if read is None:
                 declined.append(argv)
             else:
@@ -684,13 +686,68 @@ class TestRequestReader:
         (["moment", "-h"], False, (0, HELP["moment"], "")),
     ])
     def test_a_declined_request_prints_what_argparse_prints(self, capsys, argv, read, want):
-        assert (_read(_command_parser(argv[0]), argv[1:]) is not None) == read
+        assert (_read(argv[0], argv[1:]) is not None) == read
         code, out, err = run_cli(capsys, *argv)
         # Python releases word the list of choices after an invalid choice differently.
         assert (code, out, err.partition(" (choose from ")[0]) == want
 
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_every_declared_option_is_one_the_reader_can_read(self, capsys, command):
+        # The reader stores each value whole, converts it once and copies defaults as they are.
+        actions = _command_parser(command)[1]
+        for flag, action in actions.items():
+            assert action.option_strings == [flag] and flag.startswith("--"), flag
+            assert action.nargs is None, flag
+            assert action.type is None or not isinstance(action.default, str), flag
+        # The JSON inputs are the command's own dests, in declared order.
+        argv = next([*argv, "--format", "json"] for argv in COMMANDS if argv[0] == command)
+        code, out, err = run_cli(capsys, *argv)
+        dests = [action.dest for action in actions.values() if action.dest not in ("output_format", "output_path")]
+        assert (code, err, list(json.loads(out)["inputs"])) == (0, "", dests)
+
+    def test_the_cli_reads_no_private_attribute_but_the_negative_number_hook(self):
+        # No public argparse API lets an option read "-1,0" or "-1e-3" as its value.
+        tree = ast.parse(pathlib.Path(cue_moments.cli.__file__).read_text(encoding="utf-8"))
+        private = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                   and node.attr.startswith("_") and not node.attr.endswith("__")}
+        assert private == {"_negative_number_matcher"}
+
 
 class TestFileOutput:
+    @pytest.fixture
+    def umask(self):
+        previous = os.umask(0o022)
+        yield
+        os.umask(previous)
+
+    def test_a_new_file_gets_the_mode_open_gives_it(self, capsys, tmp_path, umask):
+        target, reference = tmp_path / "out.txt", tmp_path / "reference.txt"
+        reference.write_text("")
+        assert run_cli(capsys, "moment", "--n", "2", "--two-h", "1", "--k", "1", "--out", str(target))[0] == 0
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode) == 0o644
+
+    def test_an_existing_file_keeps_its_mode(self, capsys, tmp_path, umask):
+        target = tmp_path / "out.txt"
+        target.write_text("old\n")
+        target.chmod(0o664)
+        assert run_cli(capsys, "moment", "--n", "2", "--two-h", "1", "--k", "1", "--out", str(target))[0] == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o664
+        assert target.read_text(encoding="utf-8") == "moment n=2 two_h=1 k=1: 5/pi ≈ 1.59154943091895\n"
+
+    def test_the_file_is_utf8_in_an_ascii_locale(self, tmp_path):
+        # stdout keeps the locale's encoding; only the file is written as UTF-8.
+        target = tmp_path / "out.txt"
+        src = str(pathlib.Path(cue_moments.__file__).parents[1])
+        env = {name: value for name, value in os.environ.items()
+               if not name.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+        env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C",
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["moment", "--n", "2", "--two-h", "1", "--k", "1", "--out", str(target)]
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "cue_moments.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert target.read_bytes() == "moment n=2 two_h=1 k=1: 5/pi ≈ 1.59154943091895\n".encode("utf-8")
+
     def test_atomic_write_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "out.json"
         code = main(["moment", "--n", "2", "--two-h", "1", "--k", "1",
