@@ -260,22 +260,31 @@ def _emit(args: argparse.Namespace, text: list[str], payload: dict, rows: list[d
     else:
         body = "\n".join(text) + "\n"
     if args.output_path is None:
-        sys.stdout.write(body)
+        try:
+            sys.stdout.write(body)
+        except UnicodeEncodeError:
+            # A stream that cannot encode the text (an ASCII locale) gets its UTF-8
+            # bytes, as a file does; the text layer wrote nothing before it raised.
+            sys.stdout.flush()
+            sys.stdout.buffer.write(body.encode("utf-8"))
+            sys.stdout.buffer.flush()
         return
+    # Through a symlink, as open(path, "w") writes: the link stays and its target,
+    # existing or not, is the file written.
+    path = os.path.realpath(args.output_path)
     # The file gets the mode open(path, "w") leaves: an existing one keeps its own,
     # a new one gets 0o666 less the umask, which os can read only by setting it.
     try:
-        mode = stat.S_IMODE(os.stat(args.output_path).st_mode)
+        mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         os.umask(umask := os.umask(0o777))
         mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(args.output_path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".cue-moments-")
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".cue-moments-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(body)
         os.chmod(tmp_path, mode)
-        os.replace(tmp_path, args.output_path)
+        os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)

@@ -33,15 +33,22 @@ coefficients as sums over partitions of p into at most k parts.  They stay
 as an independent oracle: the verification suites and the tests compare
 the engine against them, and the identities in this module check them.
 n enters a term only through [-n]; the rest of it, the weight w(lam, k),
-is formed once per (lam, k) and shared by every n and the limit.  No
-cache here holds a value derived from the engine.
+is formed once per (lam, k) and shared by every n and the limit, from
+the hook product that :mod:`cue_moments.partitions` keeps per partition.
+Each coefficient is an integer sum reduced to a Fraction once, with its
+power of 2 and its sign in the numerator.  The other oracles here work
+the same way: :func:`hook_content_sum` sums integers over the partitions
+of at most k parts, the only ones with [k]_lam nonzero, and
+:func:`series_coeff_bound` and :func:`binomial_residual` sum integers
+over one denominator.  No cache here holds a value derived from the engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm, prod
+from itertools import repeat
+from math import comb, factorial, lcm, perm, prod
 from operator import add, mul
 from typing import Sequence
 
@@ -222,7 +229,7 @@ def _weight(lam: Partition, k: int) -> int:
 
 
 def _partition_sum(p: int, k: int, n: int | None) -> Fraction:
-    """Sum of [k] [-n] / ([2k] h^2) over partitions of p into at most k parts ([-n] left out if n is None).
+    """(-2)^p sum of [k] [-n] / ([2k] h^2) over partitions of p into at most k parts (2^p, no [-n], if n is None).
 
     With n given only partitions inside the k x n box are summed: a part
     above n makes [-n] zero.
@@ -234,14 +241,18 @@ def _partition_sum(p: int, k: int, n: int | None) -> Fraction:
     is then the integer weight w(lam, k) = [k] f^2 (C_{p,k} / [2k]), times
     [-n] for finite n; :func:`_weight` keeps one per (lam, k) and
     :func:`_common` one C_{p,k} per (p, k), so every n and the limit share
-    them, and a finite n multiplies in only its [-n].
+    them, and a finite n multiplies in only its [-n].  The factor (-2)^p
+    or 2^p enters the one Fraction's numerator as a shift by p and, for
+    finite n and odd p, a sign flip.
     """
     fp = factorial(p)
     if n is None:
-        total = sum(_weight(lam, k) for lam in partitions_of(p, k))
+        total = sum(map(_weight, partitions_of(p, k), repeat(k)))
     else:
         total = sum(_weight(lam, k) * pochhammer(-n, lam) for lam in partitions_of(p, k, n))
-    return Fraction(total, fp * fp * _common(p, k))
+        if p % 2:
+            total = -total
+    return Fraction(total << p, fp * fp * _common(p, k))
 
 
 @lru_cache(maxsize=None)
@@ -253,7 +264,7 @@ def series_coeff(p: int, k: int, n: int) -> Fraction:
     """
     if p < 0 or k < 1 or n < 1:
         raise ValueError(f"need p >= 0, k >= 1, n >= 1, got {(p, k, n)}")
-    return (-2) ** p * _partition_sum(p, k, n)
+    return _partition_sum(p, k, n)
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +272,7 @@ def series_coeff_limit(p: int, k: int) -> Fraction:
     """Limiting coefficient as a partition sum: 2^p sum of [k] / ([2k] h^2) over the same partitions."""
     if p < 0 or k < 1:
         raise ValueError(f"need p >= 0 and k >= 1, got {(p, k)}")
-    return 2 ** p * _partition_sum(p, k, None)
+    return _partition_sum(p, k, None)
 
 
 def series_coeff_closed(p: int, k: int) -> Fraction:
@@ -281,46 +292,48 @@ def series_coeff_closed(p: int, k: int) -> Fraction:
 def series_coeff_bound(p: int, k: int, n: int) -> Fraction:
     """Upper bound for |series_coeff(p, k, n)|, valid for p >= 2.
 
-    Equals (n^p / p!) (1 + k/n)^p (2k)^p (2k-1)! / (2k - 1 + floor(p/k))!.
-    Callers handle the p in {0, 1} terms exactly instead.
+    Equals (n^p / p!) (1 + k/n)^p (2k)^p (2k-1)! / (2k - 1 + floor(p/k))!,
+    formed as the one Fraction (2k (n + k))^p / (p! perm(2k - 1 + q, q)),
+    q = floor(p/k).  Callers handle the p in {0, 1} terms exactly instead.
     """
     if p < 2:
         raise ValueError(f"bound is only established for p >= 2, got p={p}")
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
-    return (
-        Fraction(n ** p, factorial(p))
-        * Fraction(n + k, n) ** p
-        * (2 * k) ** p
-        * Fraction(factorial(2 * k - 1), factorial(2 * k - 1 + p // k))
-    )
+    q = p // k
+    return Fraction((2 * k * (n + k)) ** p, factorial(p) * perm(2 * k - 1 + q, q))
+
+
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(d values, d) for the least d >= 1 that makes every value an integer."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def binomial_residual(two_h: int, n: int, coeffs: Sequence[Fraction]) -> Fraction:
     """Alternating binomial-weighted sum of the size-n coefficients c_p = ``coeffs[p]``, p <= two_h.
 
+    The sum of C(two_h, p) p! c_p / (-n)^p, taken as integers over the one
+    denominator d n^two_h, d the least common denominator of the c_p.
     Identically zero for odd two_h <= 2k, so running it on the engine's
     vector and on the partition sums checks both; entries beyond the
     vector, past p = kn, are zero.
     """
     if two_h < 1 or two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
-    return sum((comb(two_h, p) * c * Fraction(factorial(p), (-n) ** p) for p, c in enumerate(coeffs[: two_h + 1])),
-               Fraction(0))
+    ints, d = clear_denominators(coeffs[: two_h + 1])
+    total = sum((-1) ** p * perm(two_h, p) * n ** (two_h - p) * x for p, x in enumerate(ints))
+    return Fraction(total, d * n ** two_h)
 
 
 def hook_content_sum(p: int, k: int) -> Fraction:
-    """Brute-force sum of [k] / h^2 over all partitions of p; equals k^p / p!.
+    """Sum of [k] / h^2 over all partitions of p; equals k^p / p!.
 
-    Summed as integers, sum of [k] f^2 with f = p!/h, over (p!)^2.
+    [k]_lam is 0 past k parts, so only the partitions of at most k parts
+    are summed, as integers: the sum of [k] f^2 with f = p!/h, over (p!)^2.
     """
     if p < 0 or k < 1:
         raise ValueError(f"need p >= 0 and k >= 1, got {(p, k)}")
     fp = factorial(p)
-    total = 0
-    for lam in partitions_of(p, max(p, 1)):
-        content = pochhammer(k, lam)
-        if content:
-            f = fp // hook_product(lam)
-            total += content * f * f
+    total = sum(pochhammer(k, lam) * (fp // hook_product(lam)) ** 2 for lam in partitions_of(p, k))
     return Fraction(total, fp * fp)

@@ -36,6 +36,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -61,6 +62,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 QUAD_N_MAX = 5
 # Nodes one trapezoid level may hold.
 _QUAD_MAX_NODES = 2 ** 15
+# The spacing of doubles at 1, np.finfo(float).eps.
+_EPS = 2.0 ** -52
 
 
 class QuadratureError(RuntimeError):
@@ -273,14 +276,31 @@ def mc_moment(n: int, two_h: int, k: int, trials: int, seed: int) -> MCEstimate:
     return MCEstimate(mean=mean, stderr=stderr, trials=trials, seed=seed, redraws=trials - count)
 
 
+@cache
+def _quad_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index arrays of size n: the Hankel index i + j, the same index of every cofactor minor, the powers.
+
+    Entry (i, j) of the second is the (n-1) x (n-1) Hankel index with row i
+    and column j left out, so one fancy index of the moments yields the
+    stack of all n^2 minors.  The third is 0..2n-2 as a column.
+    """
+    kept = np.array([np.delete(np.arange(n), i) for i in range(n)])
+    arrays = (np.add.outer(np.arange(n), np.arange(n)), kept[:, None, :, None] + kept[None, :, None, :],
+              np.arange(2 * n - 1)[:, None])
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def _moment_sums(k: int, n: int, z: float, c: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Sums over the nodes t of the integrands of M_0..M_(2n-2) on
     # x(t) = sinh t + i c cosh t, and of their moduli times their relative
     # rounding error over eps, about 16 + 2(n+k)(1 + |t|) + z|x|: the power
     # of 1 + x^2 (log about 2|t|), exp(i z x), the other products and the sum.
-    x = np.sinh(t) + 1j * c * np.cosh(t)
-    dx = np.cosh(t) + 1j * c * np.sinh(t)
-    f = (1 + x * x) ** -(n + k) * np.exp(1j * z * x) * dx * x ** np.arange(2 * n - 1)[:, None]
+    sinh, cosh = np.sinh(t), np.cosh(t)
+    x = sinh + 1j * c * cosh
+    dx = cosh + 1j * c * sinh
+    f = (1 + x * x) ** -(n + k) * np.exp(1j * z * x) * dx * x ** _quad_indices(n)[2]
     rel = 16 + 2 * (n + k) * (1 + np.abs(t)) + z * np.abs(x)
     return f.sum(axis=1), (np.abs(f) * rel).sum(axis=1)
 
@@ -307,7 +327,9 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float) -> float:
     |integrand| <= A cosh(t)^-(2k+1) e^(-z c cosh t), plus a rounding floor
     of about eps times the summed moduli of the terms; the determinant
     carries them to first order, |d det| <= sum |cof_ij| |dM_(i+j)|.  A bound
-    still above tol at the node cap raises QuadratureError.
+    still above tol at the node cap raises QuadratureError.  A level takes
+    the Hankel matrix and the stack of its n^2 cofactor minors each by one
+    fancy index of the moments, from index arrays formed once per n.
     """
     if not 1 <= n <= QUAD_N_MAX:
         raise ValueError(f"direct quadrature supports 1 <= n <= {QUAD_N_MAX}, got {n}")
@@ -327,8 +349,7 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float) -> float:
     log_a = (n - 0.5) * math.log1p(c * c) - (n + k) * math.log1p(-c * c) + m * math.log(2)
     T = min(max((log_a + math.log(2 / m) - math.log(tol) + 20 * math.log(2)) / m, 1.0), 80.0, 330 / (n + k))
     tail = 2 * math.exp(log_a - m * T - z * c * math.cosh(T)) / m
-    hankel = np.add.outer(np.arange(n), np.arange(n))
-    off = ~np.eye(n, dtype=bool)
+    hankel, minor_index, _ = _quad_indices(n)
     h = 2.0 ** -max(1, math.ceil(math.log2((1 + z) / math.pi)))
     half = math.ceil(min(T / h, _QUAD_MAX_NODES))  # nodes on each side of t = 0
     bound = math.inf
@@ -342,12 +363,11 @@ def quad_moment_integral(k: int, zeta: float, n: int, tol: float) -> float:
         weights = weights / 2 + h * fresh_weights
         # Each level drops tails of at most `tail`; the one beyond the finer
         # level adds to its error, the two in the level difference to the estimate.
-        error = np.abs(sums - previous) + 3 * tail + np.finfo(float).eps * weights
-        matrix = sums[hankel]
-        minors = np.linalg.det(np.array([[matrix[off[i]][:, off[j]] for j in range(n)] for i in range(n)]))
+        error = np.abs(sums - previous) + 3 * tail + _EPS * weights
+        minors = np.linalg.det(sums[minor_index])
         bound = math.factorial(n) * float((np.abs(minors) * error[hankel]).sum())
         if bound <= tol:
-            return math.factorial(n) * float(np.linalg.det(matrix).real)
+            return math.factorial(n) * float(np.linalg.det(sums[hankel]).real)
     raise QuadratureError(
         f"quadrature error bound {bound:.3g} exceeds tol {tol:.3g} at the cap of {_QUAD_MAX_NODES} trapezoid nodes"
     )

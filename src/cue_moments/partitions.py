@@ -6,8 +6,11 @@ arithmetic, and all box products over the empty Ferrers diagram are 1.
 
 The box products are taken a row at a time, never a box at a time: the
 hook product from the row lengths shifted to distinct integers (the
-Frobenius factorial form), the Pochhammer symbol as one rising factorial
-per row.  Either is a few ``math`` calls per row on Python ints.
+Frobenius factorial form), the Pochhammer symbol at an integer base as
+one ``prod`` over the rows' falling factorials, with its sign taken once.
+Both are integer products that run inside ``math``.  The hook product
+depends on the partition alone, so each partition's is formed once and
+kept.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, starmap
 from math import factorial, perm, prod
-from operator import sub
+from operator import add, sub
 
 Partition = tuple[int, ...]
 
@@ -61,8 +64,9 @@ def transpose(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part >= j) for j in range(1, width + 1))
 
 
+@lru_cache(maxsize=None)
 def hook_product(lam: Partition) -> int:
-    """Product of all hook lengths of the Ferrers diagram.
+    """Product of all hook lengths of the Ferrers diagram, formed once per partition.
 
     The hook length of a box is arm + leg + 1, where the arm counts boxes
     strictly to the right and the leg counts boxes strictly below.  With
@@ -79,27 +83,24 @@ def pochhammer(b: int | Fraction, lam: Partition) -> int | Fraction:
 
     Box (i, j) means row i, column j, both 1-based, so row i contributes
     the rising factorial (b - i + 1) ... (b - i + lam_i).  For int ``b``
-    that is perm(b - i + lam_i, lam_i) when its factors are positive,
-    (-1)^lam_i perm(i - 1 - b, lam_i) when they are negative, and 0 when
-    the row crosses zero.  For b = u/v it is the integer product of
-    u + (j - i) v over the boxes, divided once by v^|lam|.  The empty
-    partition gives 1.  The result is an int for int ``b`` and a Fraction
-    otherwise.
+    at least len(lam) every factor is positive and row i is
+    perm(b - i + lam_i, lam_i).  For negative ``b`` row i is
+    (-1)^lam_i perm(i - 1 - b, lam_i) unless it crosses zero; lam_i - i
+    decreases, so row 1 crosses first, and the sign (-1)^|lam| is taken
+    once.  Any other int ``b`` puts the factor 0 in row b + 1 or row 1.
+    For b = u/v it is the integer product of u + (j - i) v over the boxes,
+    divided once by v^|lam|.  The empty partition gives 1.  The result is
+    an int for int ``b`` and a Fraction otherwise.
     """
     if isinstance(b, int):
-        if 0 <= b < len(lam):
-            # row b + 1 opens with the factor b - (b + 1) + 1 = 0
-            return 0
-        result = 1
-        for i, row in enumerate(lam, start=1):
-            if b >= i:
-                result *= perm(b - i + row, row)
-            elif b - i + row < 0:
-                result *= (-1) ** row * perm(i - 1 - b, row)
-            else:
-                return 0
-        return result
-    b = Fraction(b)
+        if b >= len(lam):
+            return prod(map(perm, map(add, lam, range(b - 1, b - 1 - len(lam), -1)), lam))
+        if b < 0 and (not lam or lam[0] <= -b):
+            value = prod(map(perm, range(-b, len(lam) - b), lam))
+            return -value if sum(lam) % 2 else value
+        return 0
+    if not isinstance(b, Fraction):
+        b = Fraction(b)
     u, v = b.numerator, b.denominator
     numer = prod(prod(range(u + (1 - i) * v, u + (row - i) * v + 1, v)) for i, row in enumerate(lam, start=1))
     return Fraction(numer, v ** sum(lam))

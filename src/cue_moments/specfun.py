@@ -33,10 +33,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, perm
+from math import comb, factorial, perm
 from typing import Sequence
 
-from .coefficients import coeff_numerators, series_coeff
+from .coefficients import clear_denominators, coeff_numerators, series_coeff
 from .moments import keating_snaith
 
 Rational = int | Fraction
@@ -50,12 +50,6 @@ def _scaled_laguerre(n: int, alpha: int) -> tuple[int, ...]:
     if n + alpha < 0:
         raise ValueError(f"need n + alpha >= 0, got n={n}, alpha={alpha}")
     return tuple((-1) ** j * comb(n + alpha, n - j) * perm(n, n - j) for j in range(n + 1))
-
-
-def _cleared(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(d coeffs, d) for the least d >= 1 that makes every coefficient an integer."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _horner(coeffs: Sequence[int], p: int, q: int) -> int:
@@ -118,7 +112,8 @@ def _laguerre_det(n: int, alphas: Sequence[int], t: Fraction) -> Fraction:
 def _check_args(k: int, n: int, zeta: Rational) -> Fraction:
     if k < 1 or n < 1:
         raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
-    zeta = Fraction(zeta)
+    if not isinstance(zeta, Fraction):
+        zeta = Fraction(zeta)
     if zeta < 0:
         raise ValueError(f"zeta must be non-negative; pass |zeta|, got {zeta}")
     return zeta
@@ -162,7 +157,7 @@ def moment_gen_series(k: int, n: int, zeta: Rational) -> Fraction:
     coefficients.  At zeta = 0 only the p = 0 term survives.
     """
     zeta = _check_args(k, n, zeta)
-    return _series(k, n, zeta, *_cleared([series_coeff(p, k, n) for p in range(k * n + 1)]))
+    return _series(k, n, zeta, *clear_denominators([series_coeff(p, k, n) for p in range(k * n + 1)]))
 
 
 def moment_gen_engine(k: int, n: int, zeta: Rational) -> Fraction:

@@ -23,6 +23,7 @@ from typing import Callable, Iterable
 
 from .coefficients import (
     binomial_residual,
+    clear_denominators,
     coeff_vector,
     hook_content_sum,
     series_coeff,
@@ -65,14 +66,16 @@ def _run(name: str, cases: Iterable[bool]) -> CheckResult:
 
 
 def check_transpose_identities() -> CheckResult:
-    bases = (-3, -1, Fraction(1, 2), 2)
+    """hook(lam') = hook(lam) and [b]_lam' = (-1)^|lam| [-b]_lam for every lam with |lam| <= 12."""
+    bases = [(b, -b) for b in (-3, -1, Fraction(1, 2), 2)]
     def cases():
         for w in range(13):
             for lam in partitions_of(w, max(w, 1)):
                 lam_t = transpose(lam)
                 yield hook_product(lam_t) == hook_product(lam)
-                for b in bases:
-                    yield pochhammer(b, lam_t) == (-1) ** w * pochhammer(-b, lam)
+                for b, minus_b in bases:
+                    value = pochhammer(minus_b, lam)
+                    yield pochhammer(b, lam_t) == (-value if w % 2 else value)
     return _run("transpose-identities", cases())
 
 
@@ -156,26 +159,34 @@ def check_half_moment_closed_form() -> CheckResult:
     )
 
 
-def _half_limit_weight(p: int, two_h: int) -> Fraction:
-    """The paper's closed-form weight of c_p in the half-integer limit (odd two_h, n = 1)."""
+def _half_limit_weight(p: int, two_h: int) -> int:
+    """The paper's closed-form weight of c_p in the half-integer limit (odd two_h, n = 1), an integer.
+
+    Past two_h it is two_h! (p - two_h - 1)!; up to it, p! (-1)^(two_h - p)
+    times the sum over 1 <= l <= p of (-1)^l C(two_h, p - l) / l, whose
+    terms p!/l are integers.
+    """
     if p > two_h:
-        return Fraction(factorial(two_h) * factorial(p - two_h - 1))
-    inner = sum((Fraction(comb(two_h, p - l) * (-1) ** l, l) for l in range(1, p + 1)), Fraction(0))
-    return factorial(p) * (-1) ** (two_h - p) * inner
+        return factorial(two_h) * factorial(p - two_h - 1)
+    fp = factorial(p)
+    inner = sum((-1) ** l * comb(two_h, p - l) * (fp // l) for l in range(1, p + 1))
+    return -inner if (two_h - p) % 2 else inner
 
 
 def check_half_limit_tail_bound() -> CheckResult:
     """The half-integer limit within its tail bound of an exact sum, and that bound within tol.
 
-    The reference sums closed forms only, in Fractions: the weights of
+    The reference sums closed forms only: the integer weights of
     :func:`_half_limit_weight` times c_0..c_45 of ``series_coeff_closed``
-    (k <= 2); its terms past p = 45 are below 1e-80.
+    (k <= 2), as integers over the coefficients' least common denominator;
+    its terms past p = 45 are below 1e-80.
     """
     def cases():
         for two_h, k in ((1, 1), (1, 2), (3, 2)):
             prefactor = Fraction(2 * (-1) ** ((two_h + 1) // 2), 2 ** two_h) * limit_moment_zero(k)
-            inner = sum(_half_limit_weight(p, two_h) * series_coeff_closed(p, k) for p in range(46))
-            reference = float(ExactScalar(prefactor * inner))
+            ints, d = clear_denominators([series_coeff_closed(p, k) for p in range(46)])
+            inner = sum(_half_limit_weight(p, two_h) * x for p, x in enumerate(ints))
+            reference = float(ExactScalar(prefactor * Fraction(inner, d)))
             for tol in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
                 result = limit_moment_half_h(two_h, k, tol)
                 yield abs(result.value - reference) <= result.tail_bound <= tol

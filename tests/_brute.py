@@ -11,6 +11,11 @@ over integers and reduce to a Fraction once; the Fraction versions they
 replaced (Gaussian elimination, per-term Horner, the Fraction
 recombination and its weights) are kept here as their references, and so
 is the one-shot Hankel condensation that the resumable engine replaced.
+The oracles that now sum integers over one denominator, or take the
+Pochhammer symbol as one product, keep their Fraction and row-by-row
+forms here too: the coefficient bound, the binomial residual, the
+half-integer limit's weights, the row-wise Pochhammer symbol and the
+hook-content sum over every partition.
 The Monte Carlo stream's reference is Vigna's splitmix64.c in Python ints,
 stepped one word at a time where the package mixes a counter per word.
 The CLI's 15-digit rounding is kept in the form that entered a fresh
@@ -124,6 +129,59 @@ def hook_content_terms(p: int, k: int) -> Fraction:
     """Sum of [k] / h^2 over every partition of p, one Fraction per partition."""
     return sum((Fraction(box_product(k, parts), hook_product_boxes(parts) ** 2) for parts in ascending_partitions(p)),
                Fraction(0))
+
+
+def row_pochhammer(b, parts: tuple[int, ...]):
+    """Pochhammer symbol one row at a time, each row's sign taken in its own factor, stopping at a zero row."""
+    if isinstance(b, int):
+        if 0 <= b < len(parts):
+            return 0
+        result = 1
+        for i, row in enumerate(parts, start=1):
+            if b >= i:
+                result *= perm(b - i + row, row)
+            elif b - i + row < 0:
+                result *= (-1) ** row * perm(i - 1 - b, row)
+            else:
+                return 0
+        return result
+    b = Fraction(b)
+    u, v = b.numerator, b.denominator
+    numer = 1
+    for i, row in enumerate(parts, start=1):
+        for j in range(1, row + 1):
+            numer *= u + (j - i) * v
+    return Fraction(numer, v ** sum(parts))
+
+
+def hook_content_all_parts(p: int, k: int) -> Fraction:
+    """Sum of [k] f^2, f = p!/h, over every partition of p, zero terms included, as integers over (p!)^2."""
+    fp = factorial(p)
+    total = 0
+    for parts in ascending_partitions(p):
+        f = fp // hook_product_factorial_form(parts)
+        total += row_pochhammer(k, parts) * f * f
+    return Fraction(total, fp * fp)
+
+
+def fraction_coeff_bound(p: int, k: int, n: int) -> Fraction:
+    """(n^p / p!) (1 + k/n)^p (2k)^p (2k-1)! / (2k - 1 + floor(p/k))!, one Fraction per factor."""
+    return (Fraction(n ** p, factorial(p)) * Fraction(n + k, n) ** p * (2 * k) ** p
+            * Fraction(factorial(2 * k - 1), factorial(2 * k - 1 + p // k)))
+
+
+def fraction_binomial_residual(two_h: int, n: int, coeffs) -> Fraction:
+    """Sum of C(two_h, p) c_p p! / (-n)^p over p <= two_h, one Fraction per term."""
+    return sum((comb(two_h, p) * c * Fraction(factorial(p), (-n) ** p) for p, c in enumerate(coeffs[: two_h + 1])),
+               Fraction(0))
+
+
+def fraction_half_limit_weight(p: int, two_h: int) -> Fraction:
+    """The half-integer limit's weight of c_p at n = 1, its harmonic-like inner sum taken in Fractions."""
+    if p > two_h:
+        return Fraction(factorial(two_h) * factorial(p - two_h - 1))
+    inner = sum((Fraction(comb(two_h, p - l) * (-1) ** l, l) for l in range(1, p + 1)), Fraction(0))
+    return factorial(p) * (-1) ** (two_h - p) * inner
 
 
 def fraction_det(matrix: list[list[Fraction]]) -> Fraction:

@@ -734,19 +734,51 @@ class TestFileOutput:
         assert stat.S_IMODE(target.stat().st_mode) == 0o664
         assert target.read_text(encoding="utf-8") == "moment n=2 two_h=1 k=1: 5/pi ≈ 1.59154943091895\n"
 
-    def test_the_file_is_utf8_in_an_ascii_locale(self, tmp_path):
-        # stdout keeps the locale's encoding; only the file is written as UTF-8.
-        target = tmp_path / "out.txt"
+    @staticmethod
+    def run_in_ascii_locale(argv, utf8="0"):
+        """The CLI in a fresh interpreter under LC_ALL=C, with -X utf8=0 by default: stdout is ASCII."""
         src = str(pathlib.Path(cue_moments.__file__).parents[1])
         env = {name: value for name, value in os.environ.items()
                if not name.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
         env.update(PYTHONCOERCECLOCALE="0", LC_ALL="C",
                    PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        argv = ["moment", "--n", "2", "--two-h", "1", "--k", "1", "--out", str(target)]
-        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "cue_moments.cli", *argv],
+        return subprocess.run([sys.executable, "-X", f"utf8={utf8}", "-m", "cue_moments.cli", *argv],
                               env=env, capture_output=True, timeout=120)
+
+    def test_the_file_is_utf8_in_an_ascii_locale(self, tmp_path):
+        target = tmp_path / "out.txt"
+        proc = self.run_in_ascii_locale(["moment", "--n", "2", "--two-h", "1", "--k", "1", "--out", str(target)])
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
         assert target.read_bytes() == "moment n=2 two_h=1 k=1: 5/pi ≈ 1.59154943091895\n".encode("utf-8")
+
+    def test_stdout_gets_utf8_bytes_in_an_ascii_locale(self):
+        # Text the locale cannot encode is written as the UTF-8 bytes a UTF-8 locale prints.
+        for argv in (["moment", "--n", "2", "--two-h", "1", "--k", "1"],
+                     ["moment", "--n", "3", "--two-h", "1", "--k", "2"],
+                     ["limit", "--two-h", "2", "--k", "1", "--tol", "1e-6"]):
+            ascii_run, utf8_run = self.run_in_ascii_locale(argv), self.run_in_ascii_locale(argv, utf8="1")
+            assert (ascii_run.returncode, ascii_run.stderr) == (0, b"")
+            assert ascii_run.stdout == utf8_run.stdout and "≈".encode("utf-8") in ascii_run.stdout
+
+    def test_a_symlinked_target_is_written_through_the_link(self, capsys, tmp_path, umask):
+        argv = ["moment", "--n", "2", "--two-h", "1", "--k", "1", "--out"]
+        text = "moment n=2 two_h=1 k=1: 5/pi ≈ 1.59154943091895\n"
+        real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+        real.write_text("old\n")
+        real.chmod(0o664)
+        link.symlink_to(real.name)
+        assert run_cli(capsys, *argv, str(link)) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_text(encoding="utf-8") == text and stat.S_IMODE(real.stat().st_mode) == 0o664
+        # A dangling link is written as open(path, "w") writes it: its target is created.
+        dangling, missing = tmp_path / "dangling.txt", tmp_path / "sub" / "missing.txt"
+        missing.parent.mkdir()
+        dangling.symlink_to(missing)
+        assert run_cli(capsys, *argv, str(dangling)) == (0, "", "")
+        assert dangling.is_symlink() and missing.read_text(encoding="utf-8") == text
+        assert stat.S_IMODE(missing.stat().st_mode) == 0o644
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["dangling.txt", "link.txt", "missing.txt",
+                                                                    "real.txt", "sub"]
 
     def test_atomic_write_matches_stdout(self, capsys, tmp_path):
         target = tmp_path / "out.json"

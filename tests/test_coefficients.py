@@ -16,7 +16,15 @@ from cue_moments.coefficients import (
 )
 from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
 
-from _brute import alternating_binomial_sum, hook_content_terms, series_coeff_terms, two_row_partition_sum
+from _brute import (
+    alternating_binomial_sum,
+    fraction_binomial_residual,
+    fraction_coeff_bound,
+    hook_content_all_parts,
+    hook_content_terms,
+    series_coeff_terms,
+    two_row_partition_sum,
+)
 
 
 class TestSeriesCoeff:
@@ -167,6 +175,12 @@ class TestBound:
         assert series_coeff_bound(2, 1, 1) >= 0
         assert series_coeff_bound(6, 2, 4) >= abs(series_coeff(6, 2, 4))
 
+    def test_matches_fraction_form(self):
+        for p in range(2, 41):
+            for k in range(1, 7):
+                for n in (1, 2, 5, 25, 400):
+                    assert series_coeff_bound(p, k, n) == fraction_coeff_bound(p, k, n)
+
     def test_dominates_coefficients(self):
         for p in range(2, 21):
             for k in (1, 2, 3):
@@ -193,6 +207,16 @@ class TestBinomialResidual:
                     assert binomial_residual(two_h, n, coeff_vector(k, n, two_h)) == 0
                     assert binomial_residual(two_h, n, [series_coeff(p, k, n) for p in range(two_h + 1)]) == 0
 
+    def test_matches_fraction_form(self):
+        # Engine vectors, where the residual vanishes, and vectors where it does not.
+        for two_h in (1, 3, 5, 7):
+            for n in range(1, 11):
+                vectors = [coeff_vector(k, n, two_h) for k in (1, 2, 3, 4)]
+                vectors += [[Fraction(p * p - n, p + 2 * n) for p in range(m)] for m in (0, 1, two_h, two_h + 3)]
+                vectors.append([3, -1, 4, 1, -5, 9, 2, 6][: two_h + 1])
+                for coeffs in vectors:
+                    assert binomial_residual(two_h, n, coeffs) == fraction_binomial_residual(two_h, n, coeffs)
+
     def test_rejects_bad_orders(self):
         for two_h in (2, 0, -1):
             with pytest.raises(ValueError):
@@ -204,6 +228,11 @@ class TestHookContentSum:
         assert hook_content_sum(2, 1) == Fraction(1, 2)
         assert hook_content_sum(0, 3) == 1
         assert hook_content_sum(3, 2) == Fraction(4, 3)
+
+    def test_matches_sum_over_every_partition(self):
+        for p in range(21):
+            for k in range(1, 8):
+                assert hook_content_sum(p, k) == hook_content_all_parts(p, k)
 
     def test_closed_value(self):
         for p in range(21):

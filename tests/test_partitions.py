@@ -11,6 +11,7 @@ from _brute import (
     hook_product_boxes,
     hook_product_factorial_form,
     partition_counts,
+    row_pochhammer,
 )
 
 
@@ -130,6 +131,14 @@ class TestPochhammer:
                     assert value == box_product(b, lam)
         # rows that cross zero, and nonzero values with an all-negative row, both occur often
         assert crossing > 1000 and negative > 1000
+
+    def test_matches_row_by_row_product(self):
+        bases = (*range(-25, 26), Fraction(1, 2), Fraction(-7, 3), Fraction(5, 7), Fraction(4))
+        for w in range(15):
+            for lam in all_partitions(w):
+                for b in bases:
+                    value = pochhammer(b, lam)
+                    assert type(value) is type(row_pochhammer(b, lam)) and value == row_pochhammer(b, lam)
 
     def test_vanishing_iff_too_many_parts(self):
         for p in range(11):

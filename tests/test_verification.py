@@ -7,7 +7,9 @@ import sys
 
 from cue_moments import coefficients, moments, specfun
 from cue_moments.cli import main
-from cue_moments.verification import run_all_checks
+from cue_moments.verification import _half_limit_weight, run_all_checks
+
+from _brute import fraction_half_limit_weight
 
 SUITES = {
     "transpose-identities": 1360,
@@ -30,6 +32,13 @@ def test_suites_and_check_counts():
     assert all(r.passed for r in results)
     # n never enters the key: every n and the limit share the weight of (lam, k)
     assert coefficients._weight.cache_info().currsize == 1483
+
+
+def test_half_limit_weights_match_their_fraction_form():
+    for two_h in (1, 3, 5, 7):
+        for p in range(46):
+            weight = _half_limit_weight(p, two_h)
+            assert type(weight) is int and weight == fraction_half_limit_weight(p, two_h)
 
 
 def patch_engine(monkeypatch, wrong):
