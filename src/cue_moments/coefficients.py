@@ -22,10 +22,13 @@ extends each level only as far as a caller asks, so a longer prefix
 costs only its new terms.  Row j of Pascal's triangle and the weights
 that entry j of every level uses depend on j alone; rows below a fixed
 bound are formed once and shared by every level of every state, and
-above it each level steps its own row.  The limit's f has rational
-coefficients, made integers by the odd part of a factorial; when f
-grows, level j is rescaled by the j-th power of the scale's growth, since
-u_j has degree j in f, and nothing stored is recomputed.
+above it each level steps its own row and keeps the last one it used.
+The limit's f has rational coefficients.  Its state keeps every level
+at one integer scale S, the odd part of T!, T = len(f) + (k - 1)^2:
+level j holds S times the Hankel determinant of the unscaled f, whose
+entry m has a denominator dividing (m + j^2)!, and every stored entry
+has m + j^2 <= T.  When f grows, every level is multiplied by the one
+ratio of the new S to the old, and nothing stored is recomputed.
 :func:`coeff_vector` forms the Fractions c_p on each call.
 
 ``series_coeff(p, k, n)`` and ``series_coeff_limit(p, k)`` are the same
@@ -79,8 +82,8 @@ def _pascal(j: int, below: list[int]) -> tuple[list[int], list[int]]:
     return entry
 
 
-def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) -> None:
-    """Extend ``quo`` = (cur'^2 - cur cur'') / prev in place to ``size`` coefficients.
+def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int, below: list[int]) -> list[int]:
+    """Extend ``quo`` = (cur'^2 - cur cur'') / prev in place to ``size`` coefficients; return the Pascal row it ends on.
 
     All three are Hurwitz series: entry j is j! times the coefficient of
     zeta^j, so a derivative is a shift, a product is the binomial
@@ -90,13 +93,15 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) ->
     prev[0], which must leave no remainder; an entry past the end of cur or
     prev is a zero that is not stored.  Row j of Pascal's triangle and
     its weights depend on j alone: :func:`_pascal` reads them from the
-    shared table, or steps them past its bound.
+    shared table, or steps them past its bound from row j - 1.  The caller
+    keeps the returned row, row len(quo) - 1, and passes it back as
+    ``below`` when it resumes; a row of another length (a call cut short
+    between an entry and the row's return) is formed again.
     """
     j = len(quo)
     if j >= size:
-        return
-    # Entries 0..j-1 went through _pascal, which keeps rows in order: the table holds row j - 1.
-    row = _PASCAL[j - 1][0] if 0 < j <= _PASCAL_ROWS else [comb(j - 1, i) for i in range(j)]
+        return below
+    row = below if len(below) == j else [comb(j - 1, i) for i in range(j)]
     while True:
         row, w = _pascal(j, row)
         # cur_x cur_y over x + y = j + 2, each unordered pair {x, y} once; its
@@ -113,7 +118,7 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int) ->
         quo.append(q)
         j += 1
         if j == size:
-            return
+            return row
 
 
 class _Condensation:
@@ -130,18 +135,30 @@ class _Condensation:
 
     f is L^(1)_{n+k-1}(-2 zeta), with the integer Hurwitz coefficients
     C(n+k, j+1) 2^j, or, for n None, G_1(2 zeta), whose coefficients
-    2^j / (j + 1)! are scaled to integers by the odd part of (s + 1)!, s
-    being the last one held: entry j is (s + 1)! 2^j / (j + 1)! shifted
-    right by v2((s + 1)!), the power of 2 in (s + 1)!, an integer since
-    v2((j + 1)!) <= j.  Growing f to hold up to s' > s multiplies it by
-    the ratio r of the two odd parts, (s' + 1)! / (s + 1)! shifted right by
-    v2((s' + 1)!) - v2((s + 1)!); u_j is homogeneous of degree j in f, so
-    each stored level j is multiplied by r^j and no entry is recomputed.
+    2^j / (j + 1)! are rational.  The limit state scales f by S, the odd
+    part of T!, T = len(f) + (k - 1)^2 (so T = P + k^2 when f holds the
+    P + 2k - 1 terms u_k to P + 1 terms needs), and stores level 0 as [S]
+    and level j >= 1 as v_j = u_j / S^(j-1), u_j of the scaled f.  u_j is
+    homogeneous of degree j in f, so every v_j is S times the u_j of the
+    unscaled f, and v_{j+1} v_{j-1} = v_j'^2 - v_j v_j'' keeps the form
+    above.  Every v_j is integer: by Leibniz, entry m of the unscaled u_j
+    is a sum of multinomials C(m; i_1..i_j) times products of j entries of
+    f's derivatives, each 2^(x-1) / x! with x = i + a + b + 1, and the j
+    values of x sum to m + j^2.  So the odd part of the denominator
+    divides that of (m + j^2)!, and v2(x!) <= x - 1 cancels its powers of
+    2; with P the largest asked for, a stored entry of level j has
+    m <= P + 2(k - j), so m + j^2 <= P + k^2 <= T.  One less than
+    (k - 1)^2 of headroom leaves remainders (at (k, P) = (4, 4), for one),
+    which _extend_level's exact division reports.  Growing f multiplies
+    every level by the same ratio r of the new S to the old, and no entry
+    is recomputed.
     """
 
     def __init__(self, k: int, n: int | None) -> None:
         self.k, self.n = k, n
         self.levels: list[list[int]] = [[1]] + [[] for _ in range(k)]
+        # Level j's last Pascal row, row len(levels[j]) - 1, for _extend_level to resume from
+        self.rows: list[list[int]] = [[] for _ in range(k + 1)]
 
     def numerators(self, P: int) -> list[int]:
         """u_k to P + 1 terms or to its degree: the stored level, which later calls extend (and, for n None, rescale)."""
@@ -153,13 +170,15 @@ class _Condensation:
 
         self._grow_f(size(1))
         for j in range(2, k + 1):
-            _extend_level(levels[j], levels[j - 1], levels[j - 2], size(j))
+            self.rows[j] = _extend_level(levels[j], levels[j - 1], levels[j - 2], size(j), self.rows[j])
         return levels[k]
 
     def _grow_f(self, size: int) -> None:
-        """Extend f to ``size`` terms; for n None, rescale every level from the odd part of start! to that of size!.
+        """Extend f to ``size`` terms; for n None, rescale every level to S, the odd part of (size + (k - 1)^2)!.
 
-        The rescaled levels replace the old ones in one assignment, so an
+        Level 0 holds the S of the last growth, so every level is
+        multiplied by r = S_new / S_old and level 0 becomes [S_new].  The
+        rescaled levels replace the old ones in one assignment, so an
         interrupted call leaves every level at one scale.
         """
         f = self.levels[1]
@@ -169,14 +188,14 @@ class _Condensation:
         if self.n is not None:
             f.extend(comb(self.n + self.k, j + 1) << j for j in range(start, size))
             return
-        # v2(m!) = m - popcount(m), and v2((i + 1)!) <= i keeps every entry an integer
-        v = size - size.bit_count()
-        r = perm(size, size - start) >> (v - start + start.bit_count())
-        grown = [[x * r for x in f] + [perm(size, size - 1 - i) << i >> v for i in range(start, size)]]
-        for j, level in enumerate(self.levels[2:], 2):
-            rj = r ** j
-            grown.append([x * rj for x in level])
-        self.levels[1:] = grown
+        # S is the odd part of t!, v2(t!) = t - popcount(t); level 0 holds the S of the last growth
+        t = size + (self.k - 1) ** 2
+        v = t - t.bit_count()
+        s = factorial(t) >> v
+        r = s // self.levels[0][0]
+        grown = [[x * r for x in level] for level in self.levels[1:]]
+        grown[0] += [perm(t, t - 1 - i) << i >> v for i in range(start, size)]
+        self.levels[:] = [[s], *grown]
 
 
 @lru_cache(maxsize=None)

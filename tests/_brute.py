@@ -344,19 +344,22 @@ def one_shot_coeff_numerators(k: int, n: int, P: int) -> tuple[int, ...]:
 
 
 def one_shot_limit_numerators(k: int, P: int) -> tuple[int, ...]:
-    """h_0..h_P of the limit from f = G_1(2 zeta), s = P + 2(k-1).
+    """h_0..h_P of the limit from f = G_1(2 zeta), s = P + 2(k-1), at the scale of the engine's limit state.
 
-    The Hurwitz coefficients 2^j / (j+1)! are scaled by the odd part of
-    (s+1)!, found by halving it while it is even; each product must be an
-    integer.
+    The Hurwitz coefficients 2^j / (j+1)! are scaled by S, the odd part of
+    (P + k^2)!, found by halving it while it is even; each product must be
+    an integer.  Condensed from u_0 = 1, u_k carries S^k; it is divided by
+    S^(k-1), which must leave no remainder in any entry.
     """
     s = P + 2 * (k - 1)
-    odd = factorial(s + 1)
+    odd = factorial(P + k * k)
     while odd % 2 == 0:
         odd //= 2
     f = [Fraction(odd * 2 ** j, factorial(j + 1)) for j in range(s + 1)]
     assert all(x.denominator == 1 for x in f)
-    return one_shot_numerators([int(x) for x in f], k, P + 1)
+    quotients = [divmod(h, odd ** (k - 1)) for h in one_shot_numerators([int(x) for x in f], k, P + 1)]
+    assert all(r == 0 for _, r in quotients)
+    return tuple(q for q, _ in quotients)
 
 
 def lagrange_interpolate(points: list[tuple[Fraction, Fraction]], x: Fraction) -> Fraction:

@@ -76,6 +76,10 @@ COMMANDS = (
     ("limit", "--two-h", "1", "--k", "6", "--tol", "1e-12"),
     ("limit", "--two-h", "13", "--k", "7", "--tol", "1e-12"),
     ("limit", "--two-h", "1", "--k", "5", "--tol", "1e-20"),
+    # The cells whose limit states grow largest: 149 tail terms at k = 8, and at
+    # k = 10 a tail bound that leaves the sign open.
+    ("limit", "--two-h", "1", "--k", "8", "--tol", "1e-12"),
+    ("limit", "--two-h", "19", "--k", "10", "--tol", "1e-12"),
     ("table", "--n", "1,2,3", "--two-h", "0,1,3", "--k", "1,2"),
     ("table", "--n", ",", "--two-h", "0", "--k", "1"),
     ("mc", "--n", "3", "--two-h", "2", "--k", "1", "--trials", "2000", "--seed", "7"),

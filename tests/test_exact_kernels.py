@@ -162,7 +162,8 @@ class TestResumableCondensation:
                     reached = max(reached, P)
                     h = tuple(state.numerators(P)[: P + 1])
                     assert _ratios(h) == _ratios(expected[P]), (k, P)
-                    # Rescaled by degree, the state holds the one-shot integers at its own scale.
+                    # Every growth multiplies all levels by one ratio, so the state holds
+                    # the one-shot integers at its own scale.
                     assert h == expected[reached][: P + 1], (k, P)
 
     def test_states_past_the_pascal_table_equal_the_one_shot_condensation(self):
@@ -187,6 +188,18 @@ class TestResumableCondensation:
         table = coefficients._PASCAL
         assert len(table) == _PASCAL_ROWS
         assert all(row == [comb(J, i) for i in range(J + 1)] for J, (row, _) in enumerate(table))
+
+    def test_each_level_keeps_the_pascal_row_it_resumes_from(self):
+        for n in (80, None):
+            state = _Condensation(3, n)
+            state.numerators(140)
+            for level, row in zip(state.levels[2:], state.rows[2:]):
+                assert row == [comb(len(level) - 1, i) for i in range(len(level))], n
+            # A level cut short, as by an interrupted extension, no longer matches its
+            # kept row: the row is formed again and the entries come out the same.
+            whole = list(state.levels[3])
+            del state.levels[3][-7:]
+            assert tuple(state.numerators(140)) == tuple(whole), n
 
     def test_a_finite_level_stops_at_its_degree(self):
         # u_j has degree j(n + k - j): no entry past it is stored.
