@@ -7,9 +7,10 @@ result by independent routes: exact polynomial identities, direct
 quadrature of the defining integral, and Monte Carlo over Haar-random
 unitaries.
 
-The top level exports the user API.  Oracles and identity helpers
-(partition sums, reduced-polynomial routes, closed forms) are imported
-from their own modules.
+The top level exports the user API.  Oracles (partition sums,
+reduced-polynomial routes, closed forms) are imported from their own
+modules; the kernels of the identity suites are private to
+:mod:`cue_moments.verification`.
 """
 
 from .coefficients import coeff_vector

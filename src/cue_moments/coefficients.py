@@ -34,16 +34,16 @@ ratio of the new S to the old, and nothing stored is recomputed.
 ``series_coeff(p, k, n)`` and ``series_coeff_limit(p, k)`` are the same
 coefficients as sums over partitions of p into at most k parts.  They stay
 as an independent oracle: the verification suites and the tests compare
-the engine against them, and the identities in this module check them.
+the engine against them, and the identities of
+:mod:`cue_moments.verification` check them.
 n enters a term only through [-n]; the rest of it, the weight w(lam, k),
 is formed once per (lam, k) and shared by every n and the limit, from
 the hook product that :mod:`cue_moments.partitions` keeps per partition.
 Each coefficient is an integer sum reduced to a Fraction once, with its
-power of 2 and its sign in the numerator.  The other oracles here work
-the same way: :func:`hook_content_sum` sums integers over the partitions
-of at most k parts, the only ones with [k]_lam nonzero, and
-:func:`series_coeff_bound` and :func:`binomial_residual` sum integers
-over one denominator.  No cache here holds a value derived from the engine.
+power of 2 and its sign in the numerator.  No cache here holds a value
+derived from the engine.  :func:`clear_denominators` brings Fractions
+over their least common denominator for the integer sums of
+:mod:`cue_moments.specfun` and :mod:`cue_moments.verification`.
 """
 
 from __future__ import annotations
@@ -294,65 +294,7 @@ def series_coeff_limit(p: int, k: int) -> Fraction:
     return _partition_sum(p, k, None)
 
 
-def series_coeff_closed(p: int, k: int) -> Fraction:
-    """Closed form of the limiting coefficient, available for k in {1, 2} only."""
-    if p < 0:
-        raise ValueError(f"need p >= 0, got {p}")
-    if k == 1:
-        return Fraction(2 ** p, factorial(p) * factorial(p + 1))
-    if k == 2:
-        return Fraction(
-            12 * factorial(2 * p + 4) * 2 ** p,
-            factorial(p) * factorial(p + 2) * factorial(p + 3) * factorial(p + 4),
-        )
-    raise ValueError(f"no closed form for k={k}; the factorial pattern holds for k in {{1, 2}} only")
-
-
-def series_coeff_bound(p: int, k: int, n: int) -> Fraction:
-    """Upper bound for |series_coeff(p, k, n)|, valid for p >= 2.
-
-    Equals (n^p / p!) (1 + k/n)^p (2k)^p (2k-1)! / (2k - 1 + floor(p/k))!,
-    formed as the one Fraction (2k (n + k))^p / (p! perm(2k - 1 + q, q)),
-    q = floor(p/k).  Callers handle the p in {0, 1} terms exactly instead.
-    """
-    if p < 2:
-        raise ValueError(f"bound is only established for p >= 2, got p={p}")
-    if k < 1 or n < 1:
-        raise ValueError(f"need k >= 1 and n >= 1, got {(k, n)}")
-    q = p // k
-    return Fraction((2 * k * (n + k)) ** p, factorial(p) * perm(2 * k - 1 + q, q))
-
-
 def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """(d values, d) for the least d >= 1 that makes every value an integer."""
     d = lcm(*(v.denominator for v in values))
     return [v.numerator * (d // v.denominator) for v in values], d
-
-
-def binomial_residual(two_h: int, n: int, coeffs: Sequence[Fraction]) -> Fraction:
-    """Alternating binomial-weighted sum of the size-n coefficients c_p = ``coeffs[p]``, p <= two_h.
-
-    The sum of C(two_h, p) p! c_p / (-n)^p, taken as integers over the one
-    denominator d n^two_h, d the least common denominator of the c_p.
-    Identically zero for odd two_h <= 2k, so running it on the engine's
-    vector and on the partition sums checks both; entries beyond the
-    vector, past p = kn, are zero.
-    """
-    if two_h < 1 or two_h % 2 == 0:
-        raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
-    ints, d = clear_denominators(coeffs[: two_h + 1])
-    total = sum((-1) ** p * perm(two_h, p) * n ** (two_h - p) * x for p, x in enumerate(ints))
-    return Fraction(total, d * n ** two_h)
-
-
-def hook_content_sum(p: int, k: int) -> Fraction:
-    """Sum of [k] / h^2 over all partitions of p; equals k^p / p!.
-
-    [k]_lam is 0 past k parts, so only the partitions of at most k parts
-    are summed, as integers: the sum of [k] f^2 with f = p!/h, over (p!)^2.
-    """
-    if p < 0 or k < 1:
-        raise ValueError(f"need p >= 0 and k >= 1, got {(p, k)}")
-    fp = factorial(p)
-    total = sum(pochhammer(k, lam) * (fp // hook_product(lam)) ** 2 for lam in partitions_of(p, k))
-    return Fraction(total, fp * fp)

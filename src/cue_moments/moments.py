@@ -205,7 +205,7 @@ def half_moment_k1_closed(n: int) -> ExactScalar:
     """Elementary closed form of the (two_h, k) = (1, 1) moment at size n.
 
     A plain binomial sum, independent of the partition machinery, so it
-    doubles as an exact oracle for :func:`moment_half_h`.
+    doubles as an exact oracle for ``exact_moment(n, 1, 1)``.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

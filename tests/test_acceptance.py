@@ -8,21 +8,9 @@ import math
 import time
 from fractions import Fraction
 
-from cue_moments.coefficients import (
-    binomial_residual,
-    coeff_vector,
-    hook_content_sum,
-    series_coeff,
-    series_coeff_bound,
-    series_coeff_closed,
-    series_coeff_limit,
-)
-from cue_moments.moments import exact_moment, half_moment_k1_closed, limit_moment_half_h, moment_half_h
+from cue_moments.moments import exact_moment, limit_moment_half_h
 from cue_moments.oracles import closed_form_moment_integral, mc_moment, quad_moment_integral
-from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
-from cue_moments.specfun import moment_gen_engine, moment_gen_hankel, moment_gen_series, moment_gen_wronskian
-
-from _brute import alternating_binomial_sum, two_row_partition_sum
+from cue_moments.verification import check_half_moment_closed_form, check_three_route_identity, run_all_checks
 
 MC_SEED = 2026
 MC_RETRY_SEED = 2027
@@ -81,33 +69,25 @@ def test_criterion_3_integer_limits_exact():
 
 def test_criterion_4_half_moment_closed_form():
     start = time.perf_counter()
-    ok = all(moment_half_h(n, 1, 1) == half_moment_k1_closed(n) for n in range(1, 51))
+    result = check_half_moment_closed_form()
     elapsed = time.perf_counter() - start
     report(
         4,
-        ok and elapsed < 10.0,
-        f"moment_half_h(n,1,1) equals the elementary closed form exactly for n = 1..50, "
-        f"runtime {elapsed:.2f}s < 10s",
+        result.passed and elapsed < 10.0,
+        f"exact_moment(n, 1, 1) equals the elementary closed form exactly for n = 1..50 "
+        f"({result.checks} checks), runtime {elapsed:.2f}s < 10s",
     )
 
 
 def test_criterion_5_three_route_identity():
     start = time.perf_counter()
-    zetas = (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(7, 2))
-    checks = 0
-    ok = True
-    for k in range(1, 5):
-        for n in range(1, 9):
-            for z in zetas:
-                w = moment_gen_wronskian(k, n, z)
-                ok = ok and w == moment_gen_hankel(k, n, z) == moment_gen_series(k, n, z) == moment_gen_engine(k, n, z)
-                checks += 1
+    result = check_three_route_identity()
     elapsed = time.perf_counter() - start
     report(
         5,
-        ok and elapsed < 60.0,
-        f"Wronskian = Hankel = series = engine exactly on {checks} cells (k <= 4, n <= 8, 4 zetas), "
-        f"runtime {elapsed:.2f}s < 60s",
+        result.passed and elapsed < 60.0,
+        f"Wronskian = Hankel = series = engine exactly on the k <= 4, n <= 8, 4-zeta grid "
+        f"({result.checks} checks), runtime {elapsed:.2f}s < 60s",
     )
 
 
@@ -155,51 +135,20 @@ def test_criterion_7_monte_carlo():
 
 
 def test_criterion_8_identity_suites():
-    ok = True
-
-    for two_h in (1, 3, 5):
-        for k in (1, 2, 3):
-            if two_h > 2 * k:
-                continue
-            for n in range(1, 11):
-                ok = ok and binomial_residual(two_h, n, coeff_vector(k, n, two_h)) == 0
-                ok = ok and binomial_residual(two_h, n, [series_coeff(p, k, n) for p in range(two_h + 1)]) == 0
-
-    for p in range(21):
-        for k in (1, 2, 3, 4):
-            ok = ok and hook_content_sum(p, k) == Fraction(k ** p, math.factorial(p))
-
-    for w in range(13):
-        for lam in partitions_of(w, max(w, 1)):
-            lam_t = transpose(lam)
-            ok = ok and hook_product(lam_t) == hook_product(lam)
-            for b in (-3, -1, Fraction(1, 2), 2):
-                ok = ok and pochhammer(b, lam_t) == (-1) ** w * pochhammer(-b, lam)
-
-    for p in range(1, 26):
-        for n in range(p):
-            ok = ok and alternating_binomial_sum(p, n) == 1
-
-    for p in range(26):
-        expected = Fraction(2 * math.comb(2 * p + 4, p), math.factorial(p + 2) * math.factorial(p + 3))
-        ok = ok and two_row_partition_sum(p) == expected
-
-    for p in range(2, 21):
-        for k in (1, 2, 3):
-            for n in (1, 5, 25):
-                ok = ok and abs(series_coeff(p, k, n)) <= series_coeff_bound(p, k, n)
-
-    for p in range(31):
-        for k in (1, 2):
-            ok = ok and series_coeff_limit(p, k) == series_coeff_closed(p, k)
-
-    report(8, ok, "all exact identity suites hold on their stated ranges")
+    results = run_all_checks()
+    failed = [r.name for r in results if not r.passed]
+    report(
+        8,
+        not failed,
+        f"all {len(results)} exact identity suites hold on their stated ranges "
+        f"({sum(r.checks for r in results)} checks), failed: {failed or 'none'}",
+    )
 
 
 def test_criterion_9_scaling():
     limit = limit_moment_half_h(1, 1, 1e-12).value
-    gap_10 = abs(float(moment_half_h(10, 1, 1)) / 10 ** 2 - limit)
-    gap_80 = abs(float(moment_half_h(80, 1, 1)) / 80 ** 2 - limit)
+    gap_10 = abs(float(exact_moment(10, 1, 1)) / 10 ** 2 - limit)
+    gap_80 = abs(float(exact_moment(80, 1, 1)) / 80 ** 2 - limit)
     report(
         9,
         gap_80 < gap_10,

@@ -4,17 +4,18 @@ from math import comb, factorial
 import pytest
 
 from cue_moments import coefficients
-from cue_moments.coefficients import (
-    binomial_residual,
-    coeff_numerators,
-    coeff_vector,
-    hook_content_sum,
-    series_coeff,
-    series_coeff_bound,
-    series_coeff_closed,
-    series_coeff_limit,
-)
+from cue_moments.coefficients import coeff_numerators, coeff_vector, series_coeff, series_coeff_limit
 from cue_moments.partitions import hook_product, partitions_of, pochhammer, transpose
+from cue_moments.verification import (
+    _binomial_residual,
+    _hook_content_sum,
+    _series_coeff_bound,
+    _series_coeff_closed,
+    check_binomial_residuals,
+    check_closed_forms,
+    check_coeff_bounds,
+    check_hook_content_sums,
+)
 
 from _brute import (
     alternating_binomial_sum,
@@ -64,7 +65,7 @@ class TestSeriesCoeff:
                 assert series_coeff(p, k, n) == series_coeff_terms(p, k, n)
             if i % 2 == 1:
                 assert series_coeff_limit(p, k) == series_coeff_terms(p, k, None)
-            assert hook_content_sum(p, k) == hook_content_terms(p, k)
+            assert _hook_content_sum(p, k) == hook_content_terms(p, k)
 
     def test_transpose_route_equivalence(self):
         # summing over transposed shapes with negated arguments gives the
@@ -146,66 +147,45 @@ class TestSeriesCoeffLimit:
 
 class TestClosedForms:
     def test_examples(self):
-        assert series_coeff_closed(2, 1) == Fraction(1, 3)
-        assert series_coeff_closed(1, 2) == 1
-        assert series_coeff_closed(0, 1) == 1
+        assert _series_coeff_closed(2, 1) == Fraction(1, 3)
+        assert _series_coeff_closed(1, 2) == 1
+        assert _series_coeff_closed(0, 1) == 1
 
     def test_agree_with_partition_sums(self):
-        for p in range(31):
-            for k in (1, 2):
-                assert series_coeff_closed(p, k) == series_coeff_limit(p, k)
-
-    def test_rejects_other_orders(self):
-        for k in (3, 4):
-            with pytest.raises(ValueError):
-                series_coeff_closed(2, k)
+        assert check_closed_forms().passed
 
 
 class TestBound:
-    def test_rejects_small_p(self):
-        for p in (0, 1):
-            with pytest.raises(ValueError):
-                series_coeff_bound(p, 1, 3)
-
     def test_example_values(self):
-        bound = series_coeff_bound(2, 1, 3)
+        bound = _series_coeff_bound(2, 1, 3)
         assert bound == Fraction(3 ** 2, 2) * Fraction(4, 3) ** 2 * 4 * Fraction(1, 6)
         assert bound >= abs(series_coeff(2, 1, 3)) == 2
         assert series_coeff(2, 1, 1) == 0
-        assert series_coeff_bound(2, 1, 1) >= 0
-        assert series_coeff_bound(6, 2, 4) >= abs(series_coeff(6, 2, 4))
+        assert _series_coeff_bound(2, 1, 1) >= 0
+        assert _series_coeff_bound(6, 2, 4) >= abs(series_coeff(6, 2, 4))
 
     def test_matches_fraction_form(self):
         for p in range(2, 41):
             for k in range(1, 7):
                 for n in (1, 2, 5, 25, 400):
-                    assert series_coeff_bound(p, k, n) == fraction_coeff_bound(p, k, n)
+                    assert _series_coeff_bound(p, k, n) == fraction_coeff_bound(p, k, n)
 
     def test_dominates_coefficients(self):
-        for p in range(2, 21):
-            for k in (1, 2, 3):
-                for n in (1, 5, 25):
-                    assert abs(series_coeff(p, k, n)) <= series_coeff_bound(p, k, n)
+        assert check_coeff_bounds().passed
 
 
 class TestBinomialResidual:
     def test_examples(self):
         for n in range(1, 9):
-            assert binomial_residual(1, n, coeff_vector(1, n, 1)) == 0
-        assert binomial_residual(1, 5, coeff_vector(2, 5, 1)) == 0
-        assert binomial_residual(3, 4, coeff_vector(2, 4, 3)) == 0
+            assert _binomial_residual(1, n, coeff_vector(1, n, 1)) == 0
+        assert _binomial_residual(1, 5, coeff_vector(2, 5, 1)) == 0
+        assert _binomial_residual(3, 4, coeff_vector(2, 4, 3)) == 0
         # c_1 = n at k = 1, so 1 - c_1 / n vanishes and a wrong c_1 does not
-        assert binomial_residual(1, 3, (1, 3)) == 0
-        assert binomial_residual(1, 3, (1, 4)) == Fraction(-1, 3)
+        assert _binomial_residual(1, 3, (1, 3)) == 0
+        assert _binomial_residual(1, 3, (1, 4)) == Fraction(-1, 3)
 
     def test_vanishes_on_admissible_range(self):
-        for two_h in (1, 3, 5):
-            for k in (1, 2, 3):
-                if two_h > 2 * k:
-                    continue
-                for n in range(1, 11):
-                    assert binomial_residual(two_h, n, coeff_vector(k, n, two_h)) == 0
-                    assert binomial_residual(two_h, n, [series_coeff(p, k, n) for p in range(two_h + 1)]) == 0
+        assert check_binomial_residuals().passed
 
     def test_matches_fraction_form(self):
         # Engine vectors, where the residual vanishes, and vectors where it does not.
@@ -215,29 +195,22 @@ class TestBinomialResidual:
                 vectors += [[Fraction(p * p - n, p + 2 * n) for p in range(m)] for m in (0, 1, two_h, two_h + 3)]
                 vectors.append([3, -1, 4, 1, -5, 9, 2, 6][: two_h + 1])
                 for coeffs in vectors:
-                    assert binomial_residual(two_h, n, coeffs) == fraction_binomial_residual(two_h, n, coeffs)
-
-    def test_rejects_bad_orders(self):
-        for two_h in (2, 0, -1):
-            with pytest.raises(ValueError):
-                binomial_residual(two_h, 3, coeff_vector(2, 3, 3))
+                    assert _binomial_residual(two_h, n, coeffs) == fraction_binomial_residual(two_h, n, coeffs)
 
 
 class TestHookContentSum:
     def test_examples(self):
-        assert hook_content_sum(2, 1) == Fraction(1, 2)
-        assert hook_content_sum(0, 3) == 1
-        assert hook_content_sum(3, 2) == Fraction(4, 3)
+        assert _hook_content_sum(2, 1) == Fraction(1, 2)
+        assert _hook_content_sum(0, 3) == 1
+        assert _hook_content_sum(3, 2) == Fraction(4, 3)
 
     def test_matches_sum_over_every_partition(self):
         for p in range(21):
             for k in range(1, 8):
-                assert hook_content_sum(p, k) == hook_content_all_parts(p, k)
+                assert _hook_content_sum(p, k) == hook_content_all_parts(p, k)
 
     def test_closed_value(self):
-        for p in range(21):
-            for k in (1, 2, 3, 4):
-                assert hook_content_sum(p, k) == Fraction(k ** p, factorial(p))
+        assert check_hook_content_sums().passed
 
 
 class TestAppendixSums:
