@@ -210,8 +210,12 @@ def _json(value, pad: str = "\n") -> str:
 
 
 def _int_list(text: str) -> list[int]:
+    """Comma-separated integers; a list with no item ("" or ",") is empty, for the command to report."""
+    parts = text.split(",")
+    if not any(parts):
+        return []
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 

@@ -19,10 +19,12 @@ c_p = h_p / (p! h_0); they are what every moment in
 :mod:`cue_moments.moments` recombines.  The condensation is resumable:
 one state per (k, n), and one per k for the limit, keeps u_0..u_k and
 extends each level only as far as a caller asks, so a longer prefix
-costs only its new terms.  Row j of Pascal's triangle and the weights
-that entry j of every level uses depend on j alone; rows below a fixed
-bound are formed once and shared by every level of every state, and
-above it each level steps its own row and keeps the last one it used.
+costs only its new terms, and a prefix the state already holds is
+returned as stored, with no step through f or any level.  Row j of
+Pascal's triangle and the weights that entry j of every level uses
+depend on j alone; rows below a fixed bound are formed once and shared
+by every level of every state, and above it each level steps its own
+row and keeps the last one it used.
 The limit's f has rational coefficients.  Its state keeps every level
 at one integer scale S, the odd part of T!, T = len(f) + (k - 1)^2:
 level j holds S times the Hankel determinant of the unscaled f, whose
@@ -91,17 +93,21 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int, be
     form a ring.  The quotient is known to lie in it, so entry j follows
     from quo[:j], cur[:j + 3] and prev[:j + 1] by one integer division by
     prev[0], which must leave no remainder; an entry past the end of cur or
-    prev is a zero that is not stored.  Row j of Pascal's triangle and
-    its weights depend on j alone: :func:`_pascal` reads them from the
-    shared table, or steps them past its bound from row j - 1.  The caller
-    keeps the returned row, row len(quo) - 1, and passes it back as
-    ``below`` when it resumes; a row of another length (a call cut short
-    between an entry and the row's return) is formed again.
+    prev is a zero that is not stored, so a constant prev (level 0, the
+    divisor of level 2) adds no convolution term.  Row j of Pascal's
+    triangle and its weights depend on j alone: :func:`_pascal` reads them
+    from the shared table, or steps them past its bound from row j - 1.
+    The caller keeps the returned row, row len(quo) - 1, and passes it
+    back as ``below`` when it resumes; a row of another length (a call cut
+    short between an entry and the row's return) is formed again.
     """
     j = len(quo)
     if j >= size:
         return below
     row = below if len(below) == j else [comb(j - 1, i) for i in range(j)]
+    # prev's tail, sliced once: entry i >= 1 meets quo[j - i], and map stops at
+    # the shorter of row[1:] and tail.  A constant prev (level 0) has none.
+    lead, tail = prev[0], prev[1:]
     while True:
         row, w = _pascal(j, row)
         # cur_x cur_y over x + y = j + 2, each unordered pair {x, y} once; its
@@ -111,8 +117,9 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int, be
         num = sum(map(mul, cur[lo:h], map(mul, w[lo:h], cur[s - lo : s - h : -1])))
         if s % 2 == 0 and h < len(cur):
             num += w[h] // 2 * cur[h] ** 2
-        known = sum(map(mul, map(mul, row[1:], prev[1 : j + 1]), reversed(quo)))
-        q, r = divmod(-num - known, prev[0])
+        if tail:
+            num += sum(map(mul, map(mul, row[1:], tail), reversed(quo)))
+        q, r = divmod(-num, lead)
         if r:
             raise ArithmeticError("inexact quotient in the Hankel condensation")
         quo.append(q)
@@ -161,8 +168,16 @@ class _Condensation:
         self.rows: list[list[int]] = [[] for _ in range(k + 1)]
 
     def numerators(self, P: int) -> list[int]:
-        """u_k to P + 1 terms or to its degree: the stored level, which later calls extend (and, for n None, rescale)."""
+        """u_k to P + 1 terms or to its degree: the stored level, which later calls extend (and, for n None, rescale).
+
+        A state that already holds P + 1 entries of u_k, or at size n all
+        kn + 1 of them, returns the stored level as it is and touches
+        neither f nor any other level.
+        """
         k, n, levels = self.k, self.n, self.levels
+        top = levels[k]
+        if len(top) > P or (n is not None and len(top) == k * n + 1):
+            return top
 
         def size(j: int) -> int:
             wanted = P + 2 * (k - j) + 1

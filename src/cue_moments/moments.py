@@ -17,7 +17,9 @@ polynomial.  The engine, :func:`~cue_moments.coefficients.coeff_numerators`,
 gives integers h_p with c_p = h_p / (p! h_0).  Every weight w_p, for
 either parity of two_h, follows from the last by one two-term recurrence,
 so the sum is one Horner pass over integers above one denominator, with
-no factorial, power or division per term, and becomes a Fraction once.
+no factorial, power or division per term.  The prefactor's sign and
+power of 2 join that one integer numerator and denominator, so an exact
+moment forms a single Fraction, and :class:`ExactScalar` keeps it as is.
 The limit is the same sum at n = 1 over the engine's limit numerators
 (n None), times :func:`limit_moment_zero`.
 
@@ -76,7 +78,8 @@ class ExactScalar:
     q: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", Fraction(self.q))
+        if not isinstance(self.q, Fraction):
+            object.__setattr__(self, "q", Fraction(self.q))
 
     def __float__(self) -> float:
         """The float nearest :func:`to_decimal` of q/pi, rounded once; OverflowError if that is infinite."""
@@ -137,7 +140,11 @@ def keating_snaith(n: int, k: int) -> Fraction:
 
 
 def _prefactor(two_h: int, zeroth: Fraction) -> Fraction:
-    """The zeroth moment times (-1)^h / 2^two_h (even two_h) or 2 (-1)^(h + 1/2) / 2^two_h (odd)."""
+    """The zeroth moment times (-1)^h / 2^two_h (even two_h) or 2 (-1)^(h + 1/2) / 2^two_h (odd).
+
+    The half-integer limit's tail bound takes it as a Fraction;
+    :func:`_recombine` folds the same factor into its integers.
+    """
     return Fraction((1 + two_h % 2) * (-1) ** ((two_h + 1) // 2), 2 ** two_h) * zeroth
 
 
@@ -154,16 +161,27 @@ def _recombine(two_h: int, n: int, zeroth: Fraction, h: tuple[int, ...]) -> Frac
     one denominator S h_0, S = P! n^max(P - two_h, 0), acc = acc p n + b_p h_p:
     S w_p / p! = b_p (P! / p!) n^(P - p).  That needs P >= two_h or n = 1,
     which every moment meets: kn = P < two_h <= 2k forces n = 1, where the
-    clamp keeps S an int.  two_h = 0 gives ``zeroth``.
+    clamp keeps S an int.  The even and odd weights each step in their own
+    loop.  The prefactor enters as integers: its sign (-1)^ceil(two_h/2)
+    on the numerator, its 1 / 2^two_h (even) or 2 / 2^two_h (odd) as a shift
+    of the denominator, so the value is one Fraction of one integer
+    numerator and denominator.  two_h = 0 gives ``zeroth``.
     """
-    prefactor = _prefactor(two_h, zeroth)
-    P = len(h) - 1
-    acc, a, g = 0, 0, (-1) ** two_h
-    for p, x in enumerate(h):
-        acc = acc * (p * n) + (a if two_h % 2 else g) * x
-        a, g = (p - two_h) * a + g, (p - two_h) * g
+    odd, P = two_h % 2, len(h) - 1
+    acc, g = 0, (-1) ** two_h
+    if odd:
+        a = 0
+        for p, x in enumerate(h):
+            acc = acc * (p * n) + a * x
+            a, g = (p - two_h) * a + g, (p - two_h) * g
+    else:
+        for p, x in enumerate(h):
+            acc = acc * (p * n) + g * x
+            g *= p - two_h
+    if (two_h + 1) // 2 % 2:
+        acc = -acc
     scale = factorial(P) * n ** max(P - two_h, 0)
-    return Fraction(prefactor.numerator * acc, prefactor.denominator * scale * h[0])
+    return Fraction(zeroth.numerator * acc, (zeroth.denominator * scale * h[0]) << (two_h - odd))
 
 
 def exact_moment(n: int | None, two_h: int, k: int) -> Fraction | ExactScalar:

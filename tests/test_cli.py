@@ -252,6 +252,18 @@ class TestTableCommand:
         assert (code, out) == (1, "")
         assert err == "error: command 'table' needs every n >= 1, two_h >= 0 and k >= 1\n"
 
+    @pytest.mark.parametrize("values", ["1,,3", "1,", ",1"])
+    def test_an_empty_item_in_a_list_is_a_usage_error(self, capsys, values):
+        # Most likely a typo: the list is rejected, not read as the items that remain.
+        code, out, err = run_cli(capsys, "table", "--n", values, "--two-h", "0", "--k", "1")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --n: expected comma-separated integers, got {values!r}\n")
+
+    @pytest.mark.parametrize("values", [",", ""])
+    def test_a_list_with_no_item_is_a_missing_list(self, capsys, values):
+        code, out, err = run_cli(capsys, "table", "--n", values, "--two-h", "0", "--k", "1")
+        assert (code, out, err) == (1, "", "error: command 'table' requires --n, --two-h and --k value lists\n")
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--n", "1,2", "--two-h", "0,1", "--k", "1", "--format", "csv")
         assert code == 0

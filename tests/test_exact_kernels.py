@@ -201,6 +201,29 @@ class TestResumableCondensation:
             del state.levels[3][-7:]
             assert tuple(state.numerators(140)) == tuple(whole), n
 
+    def test_a_held_prefix_is_returned_as_stored(self, monkeypatch):
+        calls = []
+        extend, grow = coefficients._extend_level, _Condensation._grow_f
+        monkeypatch.setattr(coefficients, "_extend_level", lambda *args: calls.append("level") or extend(*args))
+        monkeypatch.setattr(_Condensation, "_grow_f", lambda self, size: calls.append("f") or grow(self, size))
+        for n in (3, None):
+            state = _Condensation(3, n)
+            top = state.numerators(6)
+            held, calls[:] = list(top), []
+            for P in (6, 4, 0):
+                assert state.numerators(P) is top and top == held, (n, P)
+            assert calls == [], n
+        # At size n the whole polynomial, kn + 1 entries, answers any larger P as well.
+        state = _Condensation(3, 3)
+        top = state.numerators(9)
+        calls[:] = []
+        assert state.numerators(20) is top and len(top) == 10 and calls == []
+
+    def test_an_exact_scalar_keeps_the_fraction_it_is_given(self):
+        q = Fraction(-5, 7)
+        assert ExactScalar(q).q is q
+        assert type(ExactScalar(3).q) is Fraction and ExactScalar(3).q == 3
+
     def test_a_finite_level_stops_at_its_degree(self):
         # u_j has degree j(n + k - j): no entry past it is stored.
         for k in range(1, 7):

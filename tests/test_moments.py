@@ -127,10 +127,6 @@ class TestHalfMoments:
     def test_n_two(self):
         assert moment_half_h(2, 1, 1).q == 5
 
-    def test_matches_elementary_closed_form(self):
-        for n in range(1, 51):
-            assert moment_half_h(n, 1, 1) == half_moment_k1_closed(n)
-
     def test_rejects_even_or_inadmissible(self):
         with pytest.raises(ValueError):
             moment_half_h(3, 2, 1)
@@ -251,11 +247,3 @@ class TestLimits:
             p += 1
         target = (math.e ** 2 - 5) / (4 * math.pi)
         assert abs((1 - total) / math.pi - target) <= 1e-12
-
-
-class TestScaling:
-    def test_half_moment_converges_at_one_over_n(self):
-        limit = limit_moment_half_h(1, 1, 1e-12).value
-        gap_10 = abs(float(moment_half_h(10, 1, 1)) / 10 ** 2 - limit)
-        gap_80 = abs(float(moment_half_h(80, 1, 1)) / 80 ** 2 - limit)
-        assert gap_80 < gap_10
