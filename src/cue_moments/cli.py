@@ -1,10 +1,11 @@
 """Command-line frontend: single moments, limits, tables, oracles, verification.
 
 Each runner computes its values once; :func:`_emit` writes them as text,
-JSON or CSV.  An exact value's ``≈`` digits are :func:`_decimal`'s 15-digit
-rounding of :func:`~cue_moments.moments.to_decimal`, the quotient its float
-also rounds.  JSON is written in one pass by :func:`_json`, which writes
-the bytes ``json.dumps(..., indent=2)`` writes for every payload.
+JSON or CSV.  An exact value's ``≈`` digits, and the half-integer limit's
+digits, are :func:`_decimal`'s 15-digit rounding of
+:func:`~cue_moments.moments.to_decimal`, the quotient its float also
+rounds.  JSON is written in one pass by :func:`_json`, which writes the
+bytes ``json.dumps(..., indent=2)`` writes for every payload.
 The command table, ``_COMMANDS``, declares each command once: summary,
 runner and options.  :func:`main` reads a request with its command's parser,
 built from the table on first use; a well-formed request, ``--option value``
@@ -54,15 +55,13 @@ def format_exact(value: Fraction | ExactScalar) -> str:
     return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
-def _decimal(value: float | Fraction | ExactScalar) -> str:
-    """15 significant digits, laid out as ``f"{x:.15g}"`` lays out a float.
+def _decimal(value: Fraction | ExactScalar) -> str:
+    """15 significant digits of an exact value, laid out as ``f"{x:.15g}"`` lays out a float.
 
-    An exact value's digits are :func:`~cue_moments.moments.to_decimal`'s
-    40-digit quotient, the one its float rounds, rounded half-even to 15, so
-    no digit depends on the range of floats.
+    The digits are :func:`~cue_moments.moments.to_decimal`'s 40-digit
+    quotient, the one its float rounds, rounded half-even to 15, so no digit
+    depends on the range of floats.
     """
-    if isinstance(value, float):
-        return f"{value:.15g}"
     d = _DECIMAL_15.normalize(to_decimal(value))
     exponent = d.adjusted()
     if -4 <= exponent < 15:
@@ -97,7 +96,7 @@ def _run_limit(args: argparse.Namespace) -> Output:
         cell = f"{exact_str} ≈ {value}"
     else:
         res = limit_moment_half_h(two_h, k, args.tol)
-        value, tail_bound, terms = _decimal(res.value), res.tail_bound, res.terms_used
+        value, tail_bound, terms = _decimal(res.exact), res.tail_bound, res.terms_used
         cell = f"{value} (tail_bound {tail_bound:.3g}, {terms} tail terms)"
     result = {"value": value, "tail_bound": repr(tail_bound), "terms_used": terms}
     payload = {"result": result}
@@ -135,7 +134,7 @@ def _run_mc(args: argparse.Namespace) -> Output:
     exact_str = format_exact(exact)
     z = (est.mean - exact_float) / est.stderr if est.stderr > 0 else 0.0
     result = {"mean": repr(est.mean), "stderr": repr(est.stderr), "trials": est.trials,
-              "seed": est.seed, "redraws": est.redraws, "z_score": _decimal(z)}
+              "seed": est.seed, "redraws": est.redraws, "z_score": f"{z:.15g}"}
     text = [
         f"mc n={args.n} two_h={args.two_h} k={args.k}: mean {est.mean:.9g} stderr {est.stderr:.3g} "
         f"(trials {est.trials}, seed {est.seed}, redraws {est.redraws})",

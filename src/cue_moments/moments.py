@@ -9,6 +9,8 @@ are exact rationals for even two_h and truncated series for odd two_h.
 An exact value leaves exact arithmetic in one place, :func:`to_decimal`,
 its 40-digit quotient: the CLI's printed digits, ``float()`` of an
 :class:`ExactScalar` and the quadrature's closed form all start from it.
+The half-integer limit is no exception: its truncated sum is kept exact,
+:attr:`LimitResult.exact`, until it prints.
 
 Every value is one recombination, :func:`_recombine` over a prefix of an
 engine vector: a prefactor depending on two_h times the zeroth moment
@@ -106,15 +108,23 @@ def to_decimal(value: Fraction | ExactScalar) -> Decimal:
 
 @dataclass(frozen=True)
 class LimitResult:
-    """Truncated half-integer limit; ``tail_bound`` is the prefactor times twice the last term kept.
+    """Truncated half-integer limit: ``exact`` is the truncated sum, q/pi, and ``value`` its float.
 
-    That bounds the dropped tail only if the terms keep halving: assumed, not proven.
-    A bound below the least positive float is reported as that float, never as 0.
+    ``tail_bound`` is :func:`_recombine` of the one term it bounds, twice the
+    last term kept, so the prefactor times 2 t_P, rounded to a float.  That
+    bounds the dropped tail only if the terms keep halving: assumed, not
+    proven.  A bound below the least positive float is reported as that
+    float, never as 0.
     """
 
-    value: float
+    exact: ExactScalar
     tail_bound: float
     terms_used: int
+
+    @property
+    def value(self) -> float:
+        """The float of ``exact``, rounded once from :func:`to_decimal`; 0.0 below the float range."""
+        return float(self.exact)
 
 
 def limit_moment_zero(k: int) -> Fraction:
@@ -139,17 +149,11 @@ def keating_snaith(n: int, k: int) -> Fraction:
     return limit_moment_zero(k) * math.prod(perm(j + n + k, k) for j in range(k))
 
 
-def _prefactor(two_h: int, zeroth: Fraction) -> Fraction:
-    """The zeroth moment times (-1)^h / 2^two_h (even two_h) or 2 (-1)^(h + 1/2) / 2^two_h (odd).
-
-    The half-integer limit's tail bound takes it as a Fraction;
-    :func:`_recombine` folds the same factor into its integers.
-    """
-    return Fraction((1 + two_h % 2) * (-1) ** ((two_h + 1) // 2), 2 ** two_h) * zeroth
-
-
 def _recombine(two_h: int, n: int, zeroth: Fraction, h: tuple[int, ...]) -> Fraction:
     """Prefactor times sum_p w_p c_p over the numerators h_0..h_P (times 1/pi for odd two_h).
+
+    The prefactor is the zeroth moment times (-1)^h / 2^two_h (even two_h)
+    or 2 (-1)^(h + 1/2) / 2^two_h (odd); this is the one place that states it.
 
     c_p = h_p / (p! h_0) and w_p = b_p n^(two_h - p): b_p is g_p for even
     two_h and a_p for odd, stepped from g_0 = (-1)^two_h and a_0 = 0 by
@@ -260,7 +264,8 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
     t_(p-1), or a rule still unmet at twice the larger of that floor and the
     majorant's a priori P, means a wrong engine, and raises ArithmeticError.
     So does a tail bound no smaller than |value|, compared exactly before
-    either is rounded: the truncated series then leaves the sign open.
+    either is rounded: the truncated series then leaves the sign open.  A
+    value no greater than 0 raises too, since every CUE moment is positive.
     """
     if two_h % 2 == 0:
         raise ValueError(f"two_h must be an odd positive integer, got {two_h}")
@@ -286,9 +291,11 @@ def limit_moment_half_h(two_h: int, k: int, tol: float) -> LimitResult:
 
     zeroth = limit_moment_zero(k)
     value = _recombine(two_h, 1, zeroth, h)
-    tail_bound = abs(_prefactor(two_h, zeroth)) * Fraction(2 * term, factorial(p) * h[0])
+    # The bound is the recombination of 2 t_p alone: w_0 = a_0 = 0, so h_0 only sets the scale.
+    tail_bound = abs(_recombine(two_h, 1, zeroth, (h[0],) + (0,) * (p - 1) + (2 * h[p],)))
     if tail_bound >= abs(value):
         raise ArithmeticError(
             f"the tail bound after {p - two_h} terms does not separate the limit from zero: its sign is uncertain")
-    return LimitResult(value=float(ExactScalar(value)),
-                       tail_bound=max(float(ExactScalar(tail_bound)), math.ulp(0.0)), terms_used=p - two_h)
+    if value <= 0:
+        raise ArithmeticError(f"the limit after {p - two_h} terms is not positive: wrong engine")
+    return LimitResult(ExactScalar(value), max(float(ExactScalar(tail_bound)), math.ulp(0.0)), p - two_h)

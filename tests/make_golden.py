@@ -80,6 +80,8 @@ COMMANDS = (
     # k = 10 a tail bound that leaves the sign open.
     ("limit", "--two-h", "1", "--k", "8", "--tol", "1e-12"),
     ("limit", "--two-h", "19", "--k", "10", "--tol", "1e-12"),
+    # The exact sum rounds to 5.60603307475795e-09; its float, rounded again to 15 digits, to ...794e-09.
+    ("limit", "--two-h", "5", "--k", "3", "--tol", "1e-8"),
     ("table", "--n", "1,2,3", "--two-h", "0,1,3", "--k", "1,2"),
     ("table", "--n", ",", "--two-h", "0", "--k", "1"),
     ("mc", "--n", "3", "--two-h", "2", "--k", "1", "--trials", "2000", "--seed", "7"),

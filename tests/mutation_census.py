@@ -57,6 +57,13 @@ MUTANTS = (
      "held-prefix fast path answers one entry short"),
     ("coefficients.py", "levels[j - 2], size(j)", "levels[j - 2][: 1 if j <= 3 else None], size(j)",
      "constant-divisor skip applied to level 3"),
+    ("cli.py", "_decimal(res.exact)", 'f"{res.value:.15g}"',
+     "half-integer limit printed from its float view"),
+    ("moments.py", "(h[0],) + (0,)", "(8 * h[0],) + (0,)",
+     "tail bound 8x too small: 8 h_0 in its vector"),
+    ("moments.py", "DECIMAL_CONTEXT.divide(to_decimal(value.q), DECIMAL_PI)",
+     "DECIMAL_CONTEXT.multiply(to_decimal(value.q), DECIMAL_PI)",
+     "pi multiplied in to_decimal"),
 )
 
 

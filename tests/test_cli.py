@@ -16,9 +16,9 @@ from itertools import product
 import pytest
 
 import cue_moments
-from cue_moments import moments, oracles
+from cue_moments import cli, moments, oracles
 from cue_moments.cli import _COMMANDS, _command_parser, _decimal, _json, _read, build_parser, format_exact, main
-from cue_moments.moments import DECIMAL_PI, ExactScalar, MomentOrder, exact_moment, keating_snaith
+from cue_moments.moments import DECIMAL_PI, ExactScalar, LimitResult, MomentOrder, exact_moment, keating_snaith
 
 from _brute import decimal_15g, decimal_digits, decimal_in_localcontext
 from make_golden import COMMANDS, FORMATS
@@ -143,6 +143,10 @@ class TestMomentCommand:
         code, _, err = run_cli(capsys, "moment", "--n", "2", "--two-h", "5", "--k", "1")
         assert code == 1
         assert "inadmissible" in err
+        # An admissible order at size 0 reaches the zeroth moment's own check.
+        code, out, err = run_cli(capsys, "moment", "--n", "0", "--two-h", "0", "--k", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: need n >= 1 and k >= 1, got (0, 1)\n"
 
 
 class TestLimitCommand:
@@ -192,6 +196,28 @@ class TestLimitCommand:
                                      "--format", output_format)
             assert (code, out) == (1, "")
             assert err.startswith("error:") and err.endswith("negative: wrong engine\n")
+
+    def test_a_non_positive_limit_is_a_wrong_engine_not_a_number(self, capsys, monkeypatch):
+        # Every CUE moment is positive, so a negated sum is a wrong engine, not a value to print.
+        recombine = moments._recombine
+        monkeypatch.setattr(moments, "_recombine", lambda *args: -recombine(*args))
+        for output_format in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, "limit", "--two-h", "5", "--k", "4", "--tol", "1e-12",
+                                     "--format", output_format)
+            assert (code, out) == (1, "")
+            assert err == "error: the limit after 32 terms is not positive: wrong engine\n"
+
+    def test_a_limit_below_the_float_range_prints_its_digits(self, capsys, monkeypatch):
+        # The digits come from the exact sum, not from its float view, which is 0.0 here.
+        result = LimitResult(exact=ExactScalar(Fraction(1, 10 ** 400)), tail_bound=5e-324, terms_used=3)
+        assert result.value == 0.0
+        monkeypatch.setattr(cli, "limit_moment_half_h", lambda two_h, k, tol: result)
+        code, out, err = run_cli(capsys, "limit", "--two-h", "1", "--k", "1", "--tol", "1e-1")
+        assert (code, err) == (0, "")
+        assert out == "limit two_h=1 k=1: 3.18309886183791e-401 (tail_bound 4.94e-324, 3 tail terms)\n"
+        code, out, err = run_cli(capsys, "limit", "--two-h", "1", "--k", "1", "--tol", "1e-1", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["value"] == "3.18309886183791e-401"
 
     def test_a_sign_uncertain_limit_is_an_error_not_a_number(self, capsys):
         code, out, err = run_cli(capsys, "limit", "--two-h", "19", "--k", "10", "--tol", "1e-12")

@@ -51,6 +51,9 @@ class TestSeriesCoeff:
             series_coeff(0, 0, 1)
         with pytest.raises(ValueError):
             series_coeff(0, 1, 0)
+        for args in ((-1, 1), (0, 0)):
+            with pytest.raises(ValueError):
+                series_coeff_limit(*args)
 
     def test_matches_one_fraction_per_term_sums(self):
         # From cold caches, the limit comes first on every other (p, k) and a

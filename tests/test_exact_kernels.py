@@ -313,6 +313,7 @@ class TestRecombination:
                     # A fresh limit state condenses exactly the numerators the stopping rule reads.
                     assert len(_condensation(k, None).levels[k]) == two_h + result.terms_used + 1
                     assert result.terms_used == terms
+                    assert result.exact == ExactScalar(value)
                     assert result.value == float(ExactScalar(value))
                     assert result.tail_bound == float(ExactScalar(tail))
 

@@ -17,6 +17,6 @@ def test_cli_output_matches_golden_cli():
     with open(GOLDEN_CLI, encoding="utf-8") as handle:
         pinned = json.load(handle)
     computed = list(golden_records())
-    assert len(computed) == len(pinned) == 111
+    assert len(computed) == len(pinned) == 114
     for want, got in zip(pinned, computed):
         assert got == want

@@ -98,6 +98,14 @@ class TestKeatingSnaith:
             for n in range(1, 9):
                 assert keating_snaith(n, k) == moment_gen_series(k, n, 0)
 
+    def test_rejects_bad_arguments(self):
+        # (0, 1) twice: a raise is never cached.
+        for n, k in ((0, 1), (1, 0), (0, 1)):
+            with pytest.raises(ValueError):
+                keating_snaith(n, k)
+        with pytest.raises(ValueError):
+            limit_moment_zero(0)
+
 
 class TestIntegerMoments:
     def test_cubic_formula_k1(self):
@@ -132,6 +140,8 @@ class TestHalfMoments:
             moment_half_h(3, 2, 1)
         with pytest.raises(ValueError):
             moment_half_h(3, 5, 2)
+        with pytest.raises(ValueError):
+            half_moment_k1_closed(0)
         # The half-integer limit is a truncated series, not an exact moment.
         for two_h, k in ((1, 1), (3, 2)):
             with pytest.raises(ValueError, match="limit_moment_half_h"):

@@ -119,6 +119,10 @@ class TestMomentGen:
             moment_gen_wronskian(1, 1, -1)
         with pytest.raises(ValueError):
             moment_gen_engine(1, 1, -1)
+        # The routes share one argument check, which also refuses k < 1 and n < 1.
+        for route, args in ((moment_gen_hankel, (0, 1, 1)), (moment_gen_series, (1, 0, 1))):
+            with pytest.raises(ValueError, match="need k >= 1 and n >= 1"):
+                route(*args)
 
     def test_polynomial_of_bounded_degree(self):
         # k*n + 1 samples determine the whole function: interpolation
