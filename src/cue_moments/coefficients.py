@@ -16,21 +16,26 @@ j x j Hankel determinant of derivatives of f, signed so that u_j(0) > 0,
 u_{j+1} u_{j-1} = u_j'^2 - u_j u_j'' (Desnanot-Jacobi), so k - 1 exact
 series divisions give u_k.  Its integer Hurwitz numerators h_0..h_P give
 c_p = h_p / (p! h_0); they are what every moment in
-:mod:`cue_moments.moments` recombines.  The condensation is resumable:
-one state per (k, n), and one per k for the limit, keeps u_0..u_k and
-extends each level only as far as a caller asks, so a longer prefix
-costs only its new terms, and a prefix the state already holds is
+:mod:`cue_moments.moments` recombines.  Level j of the condensation, the
+j x j minor of det[f^(i+j)], depends on f and j alone: at size n it is
+the order-j polynomial at size n + k - j.  So the condensation is keyed
+by the series, not by the order: one state per N = n + k - 1, and one
+state for the limit, keeps u_0..u_K for the deepest order K asked of
+it, and serves every order k <= K from the levels it holds.  It extends
+each level only as far as a caller asks, so a longer prefix or a deeper
+order costs only its new terms, and a prefix the state already holds is
 returned as stored, with no step through f or any level.  Row j of
 Pascal's triangle and the weights that entry j of every level uses
 depend on j alone; rows below a fixed bound are formed once and shared
 by every level of every state, and above it each level steps its own
 row and keeps the last one it used.
 The limit's f has rational coefficients.  Its state keeps every level
-at one integer scale S, the odd part of T!, T = len(f) + (k - 1)^2:
+at one integer scale S, the odd part of T!, T = len(f) + (K - 1)^2:
 level j holds S times the Hankel determinant of the unscaled f, whose
 entry m has a denominator dividing (m + j^2)!, and every stored entry
-has m + j^2 <= T.  When f grows, every level is multiplied by the one
-ratio of the new S to the old, and nothing stored is recomputed.
+has m + j^2 <= T.  When f grows or K deepens, every level is multiplied
+by the one ratio of the new S to the old, and nothing stored is
+recomputed.
 :func:`coeff_vector` forms the Fractions c_p on each call.
 
 ``series_coeff(p, k, n)`` and ``series_coeff_limit(p, k)`` are the same
@@ -129,94 +134,109 @@ def _extend_level(quo: list[int], cur: list[int], prev: list[int], size: int, be
 
 
 class _Condensation:
-    """The Hankel determinants u_0..u_k of one integer Hurwitz series f, kept between calls.
+    """The Hankel determinants u_0..u_K of one integer Hurwitz series f, kept between calls.
 
     u_j = (-1)^(j(j-1)/2) det[f^(a+b)]_{a,b<j}, so u_0 = 1, u_1 = f and,
     by Desnanot-Jacobi, u_{j+1} u_{j-1} = u_j'^2 - u_j u_j''.  The sign
-    makes u_j(0) > 0 (the tests check it for k <= 16); the divisors u_j(0),
-    j < k, are zeroth moments of order j up to a constant, so never zero.
-    Level j is extended only as far as a caller asks: u_k to P + 1 terms
-    needs u_j to P + 2(k - j) + 1.  At size n, u_j is a polynomial of
-    degree j(n + k - j), so level j stops at j(n + k - j) + 1 entries, f at
-    n + k: every entry past the degree is zero and is not stored.
+    makes u_j(0) > 0 (the tests check it for j <= 16); the divisors u_j(0)
+    are zeroth moments of order j up to a constant, so never zero.  u_j
+    depends on f and j alone, so one state serves every order k: level k
+    is the numerator vector of order k, and K, the deepest level held,
+    grows with the deepest k asked.  Level j is extended only as far as a
+    caller asks: u_k to P + 1 terms needs u_j to P + 2(k - j) + 1.
 
-    f is L^(1)_{n+k-1}(-2 zeta), with the integer Hurwitz coefficients
-    C(n+k, j+1) 2^j, or, for n None, G_1(2 zeta), whose coefficients
-    2^j / (j + 1)! are rational.  The limit state scales f by S, the odd
-    part of T!, T = len(f) + (k - 1)^2 (so T = P + k^2 when f holds the
-    P + 2k - 1 terms u_k to P + 1 terms needs), and stores level 0 as [S]
-    and level j >= 1 as v_j = u_j / S^(j-1), u_j of the scaled f.  u_j is
-    homogeneous of degree j in f, so every v_j is S times the u_j of the
-    unscaled f, and v_{j+1} v_{j-1} = v_j'^2 - v_j v_j'' keeps the form
-    above.  Every v_j is integer: by Leibniz, entry m of the unscaled u_j
-    is a sum of multinomials C(m; i_1..i_j) times products of j entries of
-    f's derivatives, each 2^(x-1) / x! with x = i + a + b + 1, and the j
-    values of x sum to m + j^2.  So the odd part of the denominator
-    divides that of (m + j^2)!, and v2(x!) <= x - 1 cancels its powers of
-    2; with P the largest asked for, a stored entry of level j has
-    m <= P + 2(k - j), so m + j^2 <= P + k^2 <= T.  One less than
-    (k - 1)^2 of headroom leaves remainders (at (k, P) = (4, 4), for one),
-    which _extend_level's exact division reports.  Growing f multiplies
-    every level by the same ratio r of the new S to the old, and no entry
-    is recomputed.
+    For N an int, f is L^(1)_N(-2 zeta), with the integer Hurwitz
+    coefficients C(N + 1, j + 1) 2^j, and level k is the order-k
+    polynomial at size n = N + 1 - k.  u_j has degree j(N + 1 - j), so
+    level j stops at j(N + 1 - j) + 1 entries, f at N + 1: every entry past
+    the degree is zero and is not stored, and the cap depends on N and j
+    alone, whichever order asks.
+
+    For N None, f is G_1(2 zeta), whose coefficients 2^j / (j + 1)! are
+    rational.  The state scales f by S, the odd part of T!,
+    T = len(f) + (K - 1)^2, and stores level 0 as [S] and level j >= 1 as
+    v_j = u_j / S^(j-1), u_j of the scaled f.  u_j is homogeneous of
+    degree j in f, so every v_j is S times the u_j of the unscaled f, and
+    v_{j+1} v_{j-1} = v_j'^2 - v_j v_j'' keeps the form above.  Every v_j
+    is integer: by Leibniz, entry m of the unscaled u_j is a sum of
+    multinomials C(m; i_1..i_j) times products of j entries of f's
+    derivatives, each 2^(x-1) / x! with x = i + a + b + 1, and the j values
+    of x sum to m + j^2.  So the odd part of the denominator divides that
+    of (m + j^2)!, and v2(x!) <= x - 1 cancels its powers of 2.  A request
+    (k, P) stores entries m <= P + 2(k - j) at level j and makes
+    len(f) >= P + 2k - 1, so m + j^2 <= len(f) + (j - 1)^2 <= T, and
+    neither len(f) nor K ever shrinks.  With one less than (k - 1)^2 of
+    headroom, a single order leaves remainders (at (k, P) = (4, 4), for
+    one), which _extend_level's exact division reports.  K, not the order
+    asked, sets the headroom: a shallow request that grows f would
+    otherwise lower T, and S with it, under the deeper levels.  Growing f
+    or deepening K multiplies every level by the same integer ratio r of
+    the new S to the old, and no entry is recomputed.
     """
 
-    def __init__(self, k: int, n: int | None) -> None:
-        self.k, self.n = k, n
-        self.levels: list[list[int]] = [[1]] + [[] for _ in range(k)]
+    def __init__(self, N: int | None) -> None:
+        self.N = N
+        self.levels: list[list[int]] = [[1], []]
         # Level j's last Pascal row, row len(levels[j]) - 1, for _extend_level to resume from
-        self.rows: list[list[int]] = [[] for _ in range(k + 1)]
+        self.rows: list[list[int]] = [[], []]
 
-    def numerators(self, P: int) -> list[int]:
-        """u_k to P + 1 terms or to its degree: the stored level, which later calls extend (and, for n None, rescale).
+    def numerators(self, k: int, P: int) -> list[int]:
+        """u_k to P + 1 terms or to its degree: the stored level, which later calls extend (and, for N None, rescale).
 
-        A state that already holds P + 1 entries of u_k, or at size n all
-        kn + 1 of them, returns the stored level as it is and touches
-        neither f nor any other level.
+        A state that already holds P + 1 entries of u_k, or for N an int
+        all k(N + 1 - k) + 1 of them, returns the stored level as it is and
+        touches neither f nor any other level, whichever order grew it.
         """
-        k, n, levels = self.k, self.n, self.levels
-        top = levels[k]
-        if len(top) > P or (n is not None and len(top) == k * n + 1):
-            return top
+        N, levels = self.N, self.levels
+        if k < len(levels):
+            top = levels[k]
+            if len(top) > P or (N is not None and len(top) == k * (N + 1 - k) + 1):
+                return top
 
         def size(j: int) -> int:
             wanted = P + 2 * (k - j) + 1
-            return wanted if n is None else min(wanted, j * (n + k - j) + 1)
+            return wanted if N is None else min(wanted, j * (N + 1 - j) + 1)
 
-        self._grow_f(size(1))
+        self._grow_f(k, size(1))
         for j in range(2, k + 1):
             self.rows[j] = _extend_level(levels[j], levels[j - 1], levels[j - 2], size(j), self.rows[j])
         return levels[k]
 
-    def _grow_f(self, size: int) -> None:
-        """Extend f to ``size`` terms; for n None, rescale every level to S, the odd part of (size + (k - 1)^2)!.
+    def _grow_f(self, k: int, size: int) -> None:
+        """Hold levels 0..k and f to ``size`` terms; for N None, rescale every level to S, the odd part of T!.
 
-        Level 0 holds the S of the last growth, so every level is
-        multiplied by r = S_new / S_old and level 0 becomes [S_new].  The
-        rescaled levels replace the old ones in one assignment, so an
+        T = len(f) + (K - 1)^2 for the new length of f and the new deepest
+        level K.  Level 0 holds the S of the last growth, so every level is
+        multiplied by r = S_new / S_old and level 0 becomes [S_new].  New
+        levels start empty; their rows are added first, and the rescaled
+        and new levels replace the old ones in one assignment, so an
         interrupted call leaves every level at one scale.
         """
-        f = self.levels[1]
+        f, depth = self.levels[1], len(self.levels) - 1
         start = len(f)
-        if start >= size:
+        if start >= size and depth >= k:
             return
-        if self.n is not None:
-            f.extend(comb(self.n + self.k, j + 1) << j for j in range(start, size))
+        size, deepest = max(size, start), max(k, depth)
+        self.rows += [[] for _ in range(depth, deepest)]
+        new = [[] for _ in range(depth, deepest)]
+        if self.N is not None:
+            f.extend(comb(self.N + 1, j + 1) << j for j in range(start, size))
+            self.levels += new
             return
         # S is the odd part of t!, v2(t!) = t - popcount(t); level 0 holds the S of the last growth
-        t = size + (self.k - 1) ** 2
+        t = size + (deepest - 1) ** 2
         v = t - t.bit_count()
         s = factorial(t) >> v
         r = s // self.levels[0][0]
         grown = [[x * r for x in level] for level in self.levels[1:]]
         grown[0] += [perm(t, t - 1 - i) << i >> v for i in range(start, size)]
-        self.levels[:] = [[s], *grown]
+        self.levels[:] = [[s], *grown, *new]
 
 
 @lru_cache(maxsize=None)
-def _condensation(k: int, n: int | None) -> _Condensation:
-    """The one state per (k, n), n None for the limit."""
-    return _Condensation(k, n)
+def _condensation(N: int | None) -> _Condensation:
+    """The one state per series: N = n + k - 1 at size n, None for the limit."""
+    return _Condensation(N)
 
 
 def _ratios(h: tuple[int, ...]) -> tuple[Fraction, ...]:
@@ -230,12 +250,17 @@ def coeff_numerators(k: int, n: int | None, P: int) -> tuple[int, ...]:
     At size n they are h_0..h_min(P, kn): coefficients beyond kn are zero
     and are neither computed nor returned.  The limit's are h_0..h_P, at
     the scale of the limit state when called, so the h_p of two calls may
-    differ by a constant factor.
+    differ by a constant factor.  Every argument must be an int (n may be
+    None), checked before any state is touched.
     """
+    if not all(isinstance(x, int) for x in (k, P, 0 if n is None else n)):
+        raise ValueError(f"need integer k, n and P, got {(k, n, P)}")
     if k < 1 or P < 0 or (n is not None and n < 1):
         raise ValueError(f"need k >= 1, n >= 1 or None, P >= 0, got {(k, n, P)}")
-    P = P if n is None else min(P, k * n)
-    return tuple(_condensation(k, n).numerators(P)[: P + 1])
+    if n is None:
+        return tuple(_condensation(None).numerators(k, P)[: P + 1])
+    P = min(P, k * n)
+    return tuple(_condensation(n + k - 1).numerators(k, P)[: P + 1])
 
 
 def coeff_vector(k: int, n: int | None, P: int) -> tuple[Fraction, ...]:

@@ -48,15 +48,17 @@ from .coefficients import coeff_numerators
 class MomentOrder:
     """Moment order (two_h, k) with h = two_h / 2.
 
-    Admissibility requires 2k + 1 > two_h; h is always carried doubled so
-    that parity, which decides between the even and odd formulas, is never
-    subject to floating point.
+    Admissibility requires integers two_h and k with 2k + 1 > two_h; h is
+    always carried doubled so that parity, which decides between the even
+    and odd formulas, is never subject to floating point.
     """
 
     two_h: int
     k: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.two_h, int) and isinstance(self.k, int)):
+            raise ValueError(f"two_h and k must be integers, got two_h={self.two_h!r}, k={self.k!r}")
         if self.two_h < 0:
             raise ValueError(f"two_h must be non-negative, got {self.two_h}")
         if self.k < 1:
@@ -193,9 +195,14 @@ def exact_moment(n: int | None, two_h: int, k: int) -> Fraction | ExactScalar:
 
     A Fraction for even two_h, an :class:`ExactScalar` (q/pi) for odd
     two_h.  The limit of odd two_h is no exact value but a truncated
-    series: asking for it raises ValueError.
+    series: asking for it raises ValueError, as does an argument that is
+    not an int (n may be None), before any cache is touched.  A value no
+    greater than 0 raises ArithmeticError, since every CUE moment is
+    positive; the sign of its numerator is the test.
     """
     MomentOrder(two_h, k)
+    if not (n is None or isinstance(n, int)):
+        raise ValueError(f"n must be an integer or None, got {n!r}")
     odd = two_h % 2
     if n is None and odd:
         raise ValueError(f"the limit of odd two_h={two_h} is a truncated series: use limit_moment_half_h")
@@ -203,6 +210,8 @@ def exact_moment(n: int | None, two_h: int, k: int) -> Fraction | ExactScalar:
     if two_h == 0:
         return zeroth
     value = _recombine(two_h, 1 if n is None else n, zeroth, coeff_numerators(k, n, k * n if odd else two_h))
+    if value.numerator <= 0:
+        raise ArithmeticError(f"the moment (n, two_h, k) = {(n, two_h, k)} is not positive: wrong engine")
     return ExactScalar(value) if odd else value
 
 

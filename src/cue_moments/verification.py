@@ -187,8 +187,11 @@ def check_three_route_identity() -> CheckResult:
 def check_coefficient_engine() -> CheckResult:
     """The determinant engine against the partition sums, one check per coefficient vector.
 
-    Each limit state is asked for P = 10 and then P = 20, so in a fresh
-    process the second request rescales the levels the first one stored.
+    The one limit state is asked, k by k, for P = 10 and then P = 20, so in
+    a fresh process each request rescales the levels earlier ones stored:
+    the second by a longer f, and the next order's first by a deeper level
+    as well.  Each finite state, one per n + k - 1, serves the orders that
+    share it.
     """
     def cases():
         for k in range(1, 5):

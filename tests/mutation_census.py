@@ -51,8 +51,12 @@ MUTANTS = (
     ("coefficients.py", "grown = [[x * r for x in level] for level in self.levels[1:]]",
      "grown = [[x * (r * r if j == 3 else r) for x in level] for j, level in enumerate(self.levels[1:], 1)]",
      "limit rescale: r * r for level 3 in _grow_f"),
-    ("coefficients.py", "comb(self.n + self.k, j + 1) << j", "comb(self.n + self.k - 1, j + 1) << j",
+    ("coefficients.py", "comb(self.N + 1, j + 1) << j", "comb(self.N, j + 1) << j",
      "finite f off by one: L^(1)_(n+k-2)"),
+    ("coefficients.py", "t = size + (deepest - 1) ** 2", "t = size + (k - 1) ** 2",
+     "limit headroom from the order asked, not the deepest level held"),
+    ("coefficients.py", "_condensation(n + k - 1)", "_condensation(n + k)",
+     "finite state keyed by n + k"),
     ("coefficients.py", "if len(top) > P or", "if len(top) >= P or",
      "held-prefix fast path answers one entry short"),
     ("coefficients.py", "levels[j - 2], size(j)", "levels[j - 2][: 1 if j <= 3 else None], size(j)",

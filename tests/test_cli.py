@@ -207,6 +207,17 @@ class TestLimitCommand:
             assert (code, out) == (1, "")
             assert err == "error: the limit after 32 terms is not positive: wrong engine\n"
 
+    def test_a_non_positive_moment_is_a_wrong_engine_not_a_number(self, capsys, monkeypatch):
+        # The per-request guard of exact_moment: a negated recombination exits 1, prints nothing.
+        recombine = moments._recombine
+        monkeypatch.setattr(moments, "_recombine", lambda *args: -recombine(*args))
+        for argv in ("moment --n 3 --two-h 2 --k 1", "moment --n 3 --two-h 1 --k 2",
+                     "limit --two-h 2 --k 2 --tol 1e-6", "table --n 1,2 --two-h 0,1 --k 1"):
+            for output_format in ("text", "json", "csv"):
+                code, out, err = run_cli(capsys, *argv.split(), "--format", output_format)
+                assert (code, out) == (1, ""), argv
+                assert err.startswith("error:") and err.endswith("is not positive: wrong engine\n"), argv
+
     def test_a_limit_below_the_float_range_prints_its_digits(self, capsys, monkeypatch):
         # The digits come from the exact sum, not from its float view, which is 0.0 here.
         result = LimitResult(exact=ExactScalar(Fraction(1, 10 ** 400)), tail_bound=5e-324, terms_used=3)

@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 from cue_moments import coefficients
+from cue_moments.cli import format_exact
 from cue_moments.coefficients import (
     _PASCAL_ROWS,
     _Condensation,
@@ -148,39 +149,39 @@ class TestResumableCondensation:
             for n in range(1, 11):
                 expected = [one_shot_coeff_numerators(k, n, P) for P in range(k * n + 1)]
                 for order in extension_orders(k * n, seed=100 * k + n):
-                    state = _Condensation(k, n)
+                    state = _Condensation(n + k - 1)
                     for P in order:
-                        assert tuple(state.numerators(P)[: P + 1]) == expected[P], (k, n, P)
+                        assert tuple(state.numerators(k, P)[: P + 1]) == expected[P], (k, n, P)
 
     def test_limit_states_equal_the_one_shot_ratios_across_rescales(self):
         for k in range(1, 7):
             expected = [one_shot_limit_numerators(k, P) for P in range(61)]
             # Each new largest P rescales the state: every step of the ascending order does.
             for order in extension_orders(60, seed=k):
-                state, reached = _Condensation(k, None), 0
+                state, reached = _Condensation(None), 0
                 for P in order:
                     reached = max(reached, P)
-                    h = tuple(state.numerators(P)[: P + 1])
+                    h = tuple(state.numerators(k, P)[: P + 1])
                     assert _ratios(h) == _ratios(expected[P]), (k, P)
-                    # Every growth multiplies all levels by one ratio, so the state holds
-                    # the one-shot integers at its own scale.
+                    # Every growth multiplies all levels by one ratio, so a state asked for one
+                    # order only holds the one-shot integers at its own scale.
                     assert h == expected[reached][: P + 1], (k, P)
 
     def test_states_past_the_pascal_table_equal_the_one_shot_condensation(self):
         # f passes the table's bound of rows: past it, each level steps its own row.
         expected = [one_shot_coeff_numerators(2, 80, P) for P in range(161)]
         for order in extension_orders(160, seed=80):
-            state = _Condensation(2, 80)
+            state = _Condensation(81)
             for P in order:
-                assert tuple(state.numerators(P)[: P + 1]) == expected[P], P
+                assert tuple(state.numerators(2, P)[: P + 1]) == expected[P], P
         # Level 3 of the limit at k = 3 reaches entry P, level 2 entry P + 2.
         checked = (100, 125, 126, 127, 128, 129, 140)
         limit = {P: one_shot_limit_numerators(3, P) for P in checked}
         for order in extension_orders(140, seed=3):
-            state, reached = _Condensation(3, None), 0
+            state, reached = _Condensation(None), 0
             for P in order:
                 reached = max(reached, P)
-                h = tuple(state.numerators(P)[: P + 1])
+                h = tuple(state.numerators(3, P)[: P + 1])
                 if P in checked:
                     assert _ratios(h) == _ratios(limit[P]), P
                 if reached in checked:
@@ -190,34 +191,82 @@ class TestResumableCondensation:
         assert all(row == [comb(J, i) for i in range(J + 1)] for J, (row, _) in enumerate(table))
 
     def test_each_level_keeps_the_pascal_row_it_resumes_from(self):
-        for n in (80, None):
-            state = _Condensation(3, n)
-            state.numerators(140)
+        for N in (82, None):
+            state = _Condensation(N)
+            state.numerators(3, 140)
             for level, row in zip(state.levels[2:], state.rows[2:]):
-                assert row == [comb(len(level) - 1, i) for i in range(len(level))], n
+                assert row == [comb(len(level) - 1, i) for i in range(len(level))], N
             # A level cut short, as by an interrupted extension, no longer matches its
             # kept row: the row is formed again and the entries come out the same.
             whole = list(state.levels[3])
             del state.levels[3][-7:]
-            assert tuple(state.numerators(140)) == tuple(whole), n
+            assert tuple(state.numerators(3, 140)) == tuple(whole), N
 
     def test_a_held_prefix_is_returned_as_stored(self, monkeypatch):
         calls = []
         extend, grow = coefficients._extend_level, _Condensation._grow_f
         monkeypatch.setattr(coefficients, "_extend_level", lambda *args: calls.append("level") or extend(*args))
-        monkeypatch.setattr(_Condensation, "_grow_f", lambda self, size: calls.append("f") or grow(self, size))
-        for n in (3, None):
-            state = _Condensation(3, n)
-            top = state.numerators(6)
+        monkeypatch.setattr(_Condensation, "_grow_f", lambda self, *args: calls.append("f") or grow(self, *args))
+        for N in (5, None):
+            state = _Condensation(N)
+            top = state.numerators(3, 6)
             held, calls[:] = list(top), []
             for P in (6, 4, 0):
-                assert state.numerators(P) is top and top == held, (n, P)
-            assert calls == [], n
+                assert state.numerators(3, P) is top and top == held, (N, P)
+            assert calls == [], N
         # At size n the whole polynomial, kn + 1 entries, answers any larger P as well.
-        state = _Condensation(3, 3)
-        top = state.numerators(9)
+        state = _Condensation(5)
+        top = state.numerators(3, 9)
         calls[:] = []
-        assert state.numerators(20) is top and len(top) == 10 and calls == []
+        assert state.numerators(3, 20) is top and len(top) == 10 and calls == []
+
+    def test_a_shallower_order_on_held_levels_condenses_nothing(self, monkeypatch):
+        calls = []
+        extend, grow = coefficients._extend_level, _Condensation._grow_f
+        monkeypatch.setattr(coefficients, "_extend_level", lambda *args: calls.append("level") or extend(*args))
+        monkeypatch.setattr(_Condensation, "_grow_f", lambda self, *args: calls.append("f") or grow(self, *args))
+        for N in (9, None):
+            state = _Condensation(N)
+            state.numerators(5, 8)
+            held, calls[:] = [list(level) for level in state.levels], []
+            # Level j was grown to P + 2(5 - j) + 1 entries (or its degree): order j at any
+            # P below that is a stored prefix.
+            for k in (4, 2, 1, 3):
+                P = 8 + 2 * (5 - k) if N is None else min(8 + 2 * (5 - k), k * (N + 1 - k))
+                h = state.numerators(k, P)
+                assert h is state.levels[k] and len(h) > P, (N, k)
+                if N is not None:
+                    assert tuple(h[: P + 1]) == one_shot_coeff_numerators(k, N + 1 - k, P), k
+                else:
+                    assert _ratios(tuple(h[: P + 1])) == _ratios(one_shot_limit_numerators(k, P)), k
+            assert calls == [] and state.levels == held, N
+
+    def test_every_order_of_one_finite_series_equals_the_one_shot_tuples(self):
+        # Every k <= N at N = n + k - 1 shares one state; its levels serve each
+        # other order, asked in ascending, descending and shuffled k.
+        for N in range(1, 11):
+            expected = {k: one_shot_coeff_numerators(k, N - k + 1, k * (N - k + 1)) for k in range(1, N + 1)}
+            for order in extension_orders(N - 1, seed=N):
+                state = _Condensation(N)
+                for k in (x + 1 for x in order):
+                    for P in (k * (N - k + 1), 1, 2 * k):
+                        h = tuple(state.numerators(k, P)[: P + 1])
+                        assert h == expected[k][: P + 1], (N, k, P)
+                # Level j stops at its degree j(N + 1 - j), whichever order grew it.
+                assert [len(level) for level in state.levels[1:]] == [
+                    j * (N + 1 - j) + 1 for j in range(1, len(state.levels))], N
+
+    def test_the_one_limit_state_equals_the_one_shot_ratios_in_mixed_orders(self):
+        requests = [(k, P) for k in range(1, 7) for P in (0, 3, 11, 24)]
+        expected = {(k, P): _ratios(one_shot_limit_numerators(k, P)) for k, P in requests}
+        ascending = sorted(requests)
+        shuffled = list(requests)
+        random.Random(6).shuffle(shuffled)
+        for order in (ascending, ascending[::-1], shuffled, sorted(requests, key=lambda r: (r[1], -r[0]))):
+            state = _Condensation(None)
+            for k, P in order:
+                assert _ratios(tuple(state.numerators(k, P)[: P + 1])) == expected[k, P], (k, P)
+            assert all(level[0] > 0 for level in state.levels)
 
     def test_an_exact_scalar_keeps_the_fraction_it_is_given(self):
         q = Fraction(-5, 7)
@@ -228,25 +277,26 @@ class TestResumableCondensation:
         # u_j has degree j(n + k - j): no entry past it is stored.
         for k in range(1, 7):
             for n in range(1, 9):
+                _condensation.cache_clear()
                 coeff_numerators(k, n, k * n)
-                levels = _condensation(k, n).levels
+                levels = _condensation(n + k - 1).levels
                 assert [len(level) for level in levels[1:]] == [
                     min(k * n + 2 * (k - j) + 1, j * (n + k - j) + 1) for j in range(1, k + 1)], (k, n)
 
     def test_every_level_leads_with_a_positive_value(self):
         for k in range(1, 17):
             for n in (None, 1, 2, 3, 7, 20):
-                state = _Condensation(k, n)
-                state.numerators(0)
+                state = _Condensation(None if n is None else n + k - 1)
+                state.numerators(k, 0)
                 assert all(level[0] > 0 for level in state.levels), (k, n)
 
     def test_a_corrupted_stored_entry_fails_an_exact_division(self):
-        for n in (3, None):
-            state = _Condensation(4, n)
-            state.numerators(6)
+        for N in (6, None):
+            state = _Condensation(N)
+            state.numerators(4, 6)
             state.levels[2][3] += 1
             with pytest.raises(ArithmeticError, match="inexact quotient"):
-                state.numerators(12)
+                state.numerators(4, 12)
 
 
 class TestRecombination:
@@ -311,7 +361,7 @@ class TestRecombination:
                     _condensation.cache_clear()
                     result = limit_moment_half_h(two_h, k, tol)
                     # A fresh limit state condenses exactly the numerators the stopping rule reads.
-                    assert len(_condensation(k, None).levels[k]) == two_h + result.terms_used + 1
+                    assert len(_condensation(None).levels[k]) == two_h + result.terms_used + 1
                     assert result.terms_used == terms
                     assert result.exact == ExactScalar(value)
                     assert result.value == float(ExactScalar(value))
@@ -325,3 +375,28 @@ class TestRecombination:
                 assert coeff_vector(k, n, k * n) == tuple(Fraction(x, factorial(p) * h[0]) for p, x in enumerate(h))
             h = coeff_numerators(k, None, 12)
             assert h[0] > 0 and all(type(x) is int for x in h)
+
+
+class TestRequestOrder:
+    """Which order requests arrive in, and so which orders' levels a state holds, cannot change a value."""
+
+    EXACT_TABLE = [(n, two_h, k) for n in range(1, 13) for k in range(1, 5) for two_h in range(2 * k + 1)]
+
+    def test_every_exact_table_cell_is_the_same_string_in_any_order(self):
+        shuffled = list(self.EXACT_TABLE)
+        random.Random(288).shuffle(shuffled)
+        orders = (sorted(self.EXACT_TABLE, key=lambda c: c[2]), sorted(self.EXACT_TABLE, key=lambda c: -c[2]), shuffled)
+        seen = []
+        for order in orders:
+            _condensation.cache_clear()
+            seen.append({cell: format_exact(exact_moment(*cell)) for cell in order})
+        assert len(seen[0]) == 288
+        assert seen[0] == seen[1] == seen[2]
+
+    def test_limit_cells_are_the_same_result_in_either_order(self):
+        cells = [(9, 5), (11, 6), (3, 2), (1, 1)]
+        results = []
+        for order in (cells, cells[::-1]):
+            _condensation.cache_clear()
+            results.append({cell: limit_moment_half_h(*cell, 1e-12) for cell in order})
+        assert results[0] == results[1]

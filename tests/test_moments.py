@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from cue_moments import moments
-from cue_moments.coefficients import coeff_numerators, coeff_vector
+from cue_moments import coefficients, moments
+from cue_moments.coefficients import coeff_numerators, coeff_vector, series_coeff_limit
 from cue_moments.moments import (
     ExactScalar,
     MomentOrder,
@@ -22,7 +22,7 @@ from cue_moments.moments import (
 )
 from cue_moments.specfun import moment_gen_series
 
-from _brute import fraction_recombine, keating_snaith_running_product, nearest_float_over_pi
+from _brute import fraction_recombine, keating_snaith_running_product, nearest_float_over_pi, one_shot_coeff_numerators
 
 
 class TestMomentOrder:
@@ -41,6 +41,11 @@ class TestMomentOrder:
             MomentOrder(-1, 1)
         with pytest.raises(ValueError):
             MomentOrder(0, 0)
+
+    def test_non_integer_arguments_are_refused(self):
+        for two_h, k in ((1.5, 1), (2, 1.0), (Fraction(1), 1), (2, "1")):
+            with pytest.raises(ValueError, match="must be integers"):
+                MomentOrder(two_h, k)
 
 
 class TestExactScalar:
@@ -125,6 +130,33 @@ class TestIntegerMoments:
             moment_integer_h(3, 2, 1)
         with pytest.raises(ValueError):
             moment_integer_h(3, 0, 1)
+
+
+class TestArguments:
+    def test_a_non_integer_argument_leaves_every_state_usable(self):
+        # A float equals its int as a cache key; a half-built state under (1, 2.0)
+        # once made every later call at (1, 2) raise TypeError.
+        coefficients._condensation.cache_clear()
+        keating_snaith.cache_clear()
+        for call, args in ((coeff_numerators, (1, 2.0, 2)), (coeff_numerators, (1.0, 2, 2)),
+                           (coeff_numerators, (1, 2, 2.0)), (coeff_numerators, (2, None, 3.0)),
+                           (exact_moment, (2.0, 2, 1)), (exact_moment, (3, 1.0, 1)), (exact_moment, (3, 2, 1.0))):
+            with pytest.raises(ValueError):
+                call(*args)
+        assert coeff_numerators(1, 2, 2) == (3, 6, 4) == one_shot_coeff_numerators(1, 2, 2)
+        assert exact_moment(2, 2, 1) == 2 == Fraction(2 * 3 * 4, 12)
+        assert exact_moment(3, 1, 1) == half_moment_k1_closed(3)
+        assert coeff_vector(2, None, 3) == tuple(series_coeff_limit(p, 2) for p in range(4))
+
+    def test_a_non_positive_moment_is_a_wrong_engine(self, monkeypatch):
+        recombine = moments._recombine
+        for wrong in (lambda *args: -recombine(*args), lambda *args: 0 * recombine(*args)):
+            monkeypatch.setattr(moments, "_recombine", wrong)
+            for n, two_h, k in ((3, 2, 1), (3, 1, 1), (None, 4, 2)):
+                with pytest.raises(ArithmeticError, match="not positive: wrong engine"):
+                    exact_moment(n, two_h, k)
+            # two_h = 0 is the zeroth moment, a product of factorials: no recombination.
+            assert exact_moment(3, 0, 2) == keating_snaith(3, 2)
 
 
 class TestHalfMoments:
